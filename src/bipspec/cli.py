@@ -179,16 +179,7 @@ def _cmd_code(args) -> int:
     if args.pipeline is not None:
         pipe = eccode.construct_expander_code(args.pipeline)
         code = pipe.code
-        findings.append(
-            {
-                "type": "code",
-                "block_length": code.n,
-                "check_count": code.check_count,
-                "rank": code.rank,
-                "dimension": code.dimension,
-                "rate": code.rate,
-            }
-        )
+        findings.append({"type": "code", **code.to_json_dict()})
         findings.append({"type": "lossless", **pipe.params.to_json_dict()})
         findings.append({"type": "distance", **pipe.report.to_json_dict()})
         findings.append({"type": "n2-rule", **pipe.n2_rule.to_json_dict()})
@@ -205,14 +196,7 @@ def _cmd_code(args) -> int:
     else:
         g = _load_graph(args.graph)
         code = eccode.parity_check_from_graph(g)
-        entry = {
-            "type": "code",
-            "block_length": code.n,
-            "check_count": code.check_count,
-            "rank": code.rank,
-            "dimension": code.dimension,
-            "rate": code.rate,
-        }
+        entry = {"type": "code", **code.to_json_dict()}
         if 1 <= code.dimension <= eccode.MAX_ENUM_DIMENSION:
             entry["true_distance"] = eccode.min_distance(code)
         findings.append(entry)

@@ -41,6 +41,15 @@ class LinearCode:
         H.setflags(write=False)
         return cls(H, cols, rows, r, cols - r, (cols - r) / cols)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "block_length": self.n,
+            "check_count": self.check_count,
+            "rank": self.rank,
+            "dimension": self.dimension,
+            "rate": self.rate,
+        }
+
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     """Parity-check matrix of the factor graph: bits = X, checks = Y."""
@@ -297,7 +306,8 @@ def write_pchk(code: LinearCode) -> str:
 
 
 def read_pchk(text: str) -> LinearCode:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    stripped = (raw.strip() for raw in text.splitlines())
+    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("pchk"):
         raise ValueError("missing 'pchk <rows> <cols>' header")
     _, rows_s, cols_s = lines[0].split()
@@ -332,13 +342,19 @@ def write_alist(code: LinearCode) -> str:
 
 def read_alist(text: str) -> LinearCode:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    cols, rows = (int(x) for x in lines[0].split())
-    col_weights = [int(x) for x in lines[2].split()]
+
+    def line(i: int, what: str) -> str:
+        if i >= len(lines):
+            raise ValueError(f"alist line {i + 1} ({what}) is missing")
+        return lines[i]
+
+    cols, rows = (int(x) for x in line(0, "'<cols> <rows>' header").split())
+    col_weights = [int(x) for x in line(2, "column weights").split()]
     if len(col_weights) != cols:
         raise ValueError(f"expected {cols} column weights, got {len(col_weights)}")
     H = np.zeros((rows, cols), dtype=np.uint8)
     for c in range(cols):
-        entries = [int(x) for x in lines[4 + c].split() if int(x) > 0]
+        entries = [int(x) for x in line(4 + c, f"column {c} entries").split() if int(x) > 0]
         if len(entries) != col_weights[c]:
             raise ValueError(f"column {c}: weight mismatch")
         for r in entries:

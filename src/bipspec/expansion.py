@@ -1,17 +1,23 @@
 """Vertex expansion by subset enumeration, spectral expansion, expander checks.
 
 Exhaustive enumeration is guaranteed for side sizes up to 24 with subset caps
-up to 12 (about 2.7M subsets worst case).  Larger requests degrade to seeded
-random sampling with exhaustive = False, or refuse outright when the caller
-needs exact answers.
+up to 12 (sum of C(24, s) for s <= 12 = 9,740,685 subsets worst case).  Larger
+requests degrade to seeded random sampling with exhaustive = False, or refuse
+outright when the caller needs exact answers.
+
+Every measurement runs on one kernel: neighborhoods are int bitmasks, |N(S)|
+is the bit count of the OR of the members' masks, one gate enumerates the
+subsets in (size, lexicographic) order, and one reduction keeps the first
+strict minimum of |N(S)|/|S| as the witness.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .bigraph import BipartiteGraph, complete_bipartite
 from .spectra import SpectrumReport
@@ -30,7 +36,6 @@ class ExpansionReport:
     subset_cap: int
     alpha: float
     witness: tuple[int, ...]
-    gamma: float | None
     exhaustive: bool
 
     def to_json_dict(self) -> dict:
@@ -43,14 +48,47 @@ class ExpansionReport:
         }
 
 
-def _side_neighbors(g: BipartiteGraph, side: str) -> list[set[int]]:
-    if side == "left":
-        return [set(nb) for nb in g.left_neighbors()]
-    return [set(nb) for nb in g.right_neighbors()]
+def _neighbor_masks(g: BipartiteGraph, side: str) -> list[int]:
+    neighbors = g.left_neighbors() if side == "left" else g.right_neighbors()
+    return [sum(1 << w for w in nb) for nb in neighbors]
 
 
-def _subset_count(side_size: int, cap: int) -> int:
-    return sum(math.comb(side_size, s) for s in range(1, cap + 1))
+def _subsets(side_size: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
+    """Every subset of range(side_size) with low <= |S| <= high, in (size, lex) order.
+
+    The one feasibility gate: a side above EXHAUSTIVE_SIDE_LIMIT or a size
+    above EXHAUSTIVE_CAP_LIMIT is refused with the subset count.
+    """
+    if side_size > EXHAUSTIVE_SIDE_LIMIT or high > EXHAUSTIVE_CAP_LIMIT:
+        count = sum(math.comb(side_size, s) for s in range(low, high + 1))
+        raise ValueError(
+            f"exhaustive enumeration infeasible: {count} subsets for side size {side_size}, "
+            f"cap {high} (limits: side {EXHAUSTIVE_SIDE_LIMIT}, cap {EXHAUSTIVE_CAP_LIMIT})"
+        )
+    return chain.from_iterable(combinations(range(side_size), s) for s in range(low, high + 1))
+
+
+def _reached(
+    masks: list[int], subsets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each subset S with |N(S)|, the bit count of its members' OR-ed masks."""
+    for subset in subsets:
+        reached = 0
+        for v in subset:
+            reached |= masks[v]
+        yield subset, reached.bit_count()
+
+
+def _min_ratio(reached: Iterable[tuple[tuple[int, ...], int]]) -> tuple[float, tuple[int, ...]]:
+    """min |N(S)|/|S| and the first subset attaining it strictly."""
+    best_ratio = math.inf
+    best_subset: tuple[int, ...] = ()
+    for subset, count in reached:
+        ratio = count / len(subset)
+        if ratio < best_ratio:
+            best_ratio = ratio
+            best_subset = subset
+    return best_ratio, best_subset
 
 
 def vertex_expansion(
@@ -69,7 +107,7 @@ def vertex_expansion(
     floor(gamma * side size).  Exhaustive whenever side size <= 24 and
     cap <= 12; otherwise a seeded random sample of subsets is used and the
     report says so.  With require_exhaustive, an infeasible request is
-    refused with the subset count estimate instead of silently sampling.
+    refused with its subset count instead of silently sampling.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -77,40 +115,24 @@ def vertex_expansion(
     if cap is None:
         if gamma is None:
             raise ValueError("need a subset cap or a gamma fraction")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         cap = math.floor(gamma * side_size)
     if cap < 1:
         raise ValueError(f"subset cap must be >= 1, got {cap}")
     cap = min(cap, side_size)
-    neighbors = _side_neighbors(g, side)
-    feasible = side_size <= EXHAUSTIVE_SIDE_LIMIT and cap <= EXHAUSTIVE_CAP_LIMIT
-    if not feasible and require_exhaustive:
-        raise ValueError(
-            f"exhaustive enumeration infeasible: about {_subset_count(side_size, cap)} "
-            f"subsets for side size {side_size}, cap {cap} "
-            f"(limits: side {EXHAUSTIVE_SIDE_LIMIT}, cap {EXHAUSTIVE_CAP_LIMIT})"
-        )
-
-    best_ratio = math.inf
-    best_subset: tuple[int, ...] = ()
-    if feasible:
-        for size in range(1, cap + 1):
-            for subset in combinations(range(side_size), size):
-                reached = len(set().union(*(neighbors[v] for v in subset)))
-                ratio = reached / size
-                if ratio < best_ratio:
-                    best_ratio = ratio
-                    best_subset = subset
-    else:
+    try:
+        subsets, exhaustive = _subsets(side_size, 1, cap), True
+    except ValueError:  # the gate refused: sample unless exactness is required
+        if require_exhaustive:
+            raise
         rng = random.Random(seed)
-        for _ in range(samples):
-            size = rng.randint(1, cap)
-            subset = tuple(sorted(rng.sample(range(side_size), size)))
-            reached = len(set().union(*(neighbors[v] for v in subset)))
-            ratio = reached / size
-            if ratio < best_ratio:
-                best_ratio = ratio
-                best_subset = subset
-    return ExpansionReport(side, cap, best_ratio, best_subset, gamma, feasible)
+        subsets = (
+            tuple(sorted(rng.sample(range(side_size), rng.randint(1, cap)))) for _ in range(samples)
+        )
+        exhaustive = False
+    alpha, witness = _min_ratio(_reached(_neighbor_masks(g, side), subsets))
+    return ExpansionReport(side, cap, alpha, witness, exhaustive)
 
 
 def spectral_expansion(spec: SpectrumReport, degree: int) -> tuple[float, float]:
@@ -139,19 +161,16 @@ def ndc_expander_check(g: BipartiteGraph, c: float) -> tuple[bool, tuple[int, ..
     if g.n1 != g.n2:
         raise ValueError(f"requires equal sides, got ({g.n1}, {g.n2})")
     n = g.n1
-    cap = max(1, n // 2)
-    if n > EXHAUSTIVE_SIDE_LIMIT or cap > EXHAUSTIVE_CAP_LIMIT:
-        raise ValueError(
-            f"exhaustive enumeration infeasible: about {_subset_count(n, cap)} subsets"
-        )
-    neighbors = _side_neighbors(g, "left")
-    for size in range(1, cap + 1):
-        required = (1 + c * (1 - size / n)) * size
-        for subset in combinations(range(n), size):
-            reached = len(set().union(*(neighbors[v] for v in subset)))
-            if reached < required - 1e-9:
-                return False, subset
-    return True, None
+    reached = _reached(_neighbor_masks(g, "left"), _subsets(n, 1, max(1, n // 2)))
+    witness = next(
+        (
+            subset
+            for subset, count in reached
+            if count < (1 + c * (1 - len(subset) / n)) * len(subset) - 1e-9
+        ),
+        None,
+    )
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -189,10 +208,7 @@ def lossless_parameters(g: BipartiteGraph, gamma: float) -> LosslessParams:
     if not profile.is_left_regular:
         raise ValueError("graph is not left-regular; left degree D is undefined")
     D = profile.left_degrees[0]
-    cap = math.floor(gamma * g.n1)
-    if cap < 1:
-        raise ValueError(f"floor(gamma * n1) = {cap} must be >= 1 (gamma={gamma}, n1={g.n1})")
-    report = vertex_expansion(g, "left", cap, gamma=gamma, require_exhaustive=True)
+    report = vertex_expansion(g, "left", gamma=gamma, require_exhaustive=True)
     epsilon = 1.0 - report.alpha / D
     return LosslessParams(g.n1, g.n2, D, gamma, report.alpha, epsilon, report.exhaustive)
 
@@ -239,20 +255,10 @@ def theorem_r4_report(m: int, n: int, rule: str = "round-robin", seed: int = 0) 
     if not n <= m <= 2 * n:
         raise ValueError(f"requires n <= m <= 2n, got (m, n) = ({m}, {n})")
     size = n // 2
-    if m > EXHAUSTIVE_SIDE_LIMIT or size > EXHAUSTIVE_CAP_LIMIT:
-        raise ValueError(
-            f"exhaustive enumeration infeasible: about {math.comb(m, size)} subsets"
-        )
+    subsets = _subsets(m, size, size)
     split = vertex_split(complete_bipartite(m, n), rule, seed)
-    neighbors = _side_neighbors(split.split_graph, "left")
-    best_ratio = math.inf
-    best_subset: tuple[int, ...] = ()
-    for subset in combinations(range(m), size):
-        reached = len(set().union(*(neighbors[v] for v in subset)))
-        ratio = reached / size
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_subset = subset
+    masks = _neighbor_masks(split.split_graph, "left")
+    best_ratio, best_subset = _min_ratio(_reached(masks, subsets))
     if m == n:
         case, formula = 1, 1 + 2 / n
     elif m == 2 * n:

@@ -335,15 +335,14 @@ def interlacing_check(full: SpectrumReport, q: Quotient2x2) -> InterlacingReport
 class BoundReport:
     """One eigenvalue bound evaluated against the solver-observed value.
 
-    slack is bound - observed for upper bounds and observed - bound for lower
-    bounds, so slack >= 0 always means the inequality holds.
+    holds is bound - observed >= -REPORT_TOL for upper bounds and
+    observed - bound >= -REPORT_TOL for lower bounds.
     """
 
     bound_id: str
     bound_value: float
     observed_value: float
     holds: bool
-    slack: float
     preconditions_met: bool
     notes: str = ""
 
@@ -359,13 +358,11 @@ class BoundReport:
 
 
 def _upper(bound_id: str, bound: float, observed: float, pre: bool, notes: str) -> BoundReport:
-    slack = bound - observed
-    return BoundReport(bound_id, bound, observed, slack >= -REPORT_TOL, slack, pre, notes)
+    return BoundReport(bound_id, bound, observed, bound - observed >= -REPORT_TOL, pre, notes)
 
 
 def _lower(bound_id: str, bound: float, observed: float, pre: bool, notes: str) -> BoundReport:
-    slack = observed - bound
-    return BoundReport(bound_id, bound, observed, slack >= -REPORT_TOL, slack, pre, notes)
+    return BoundReport(bound_id, bound, observed, observed - bound >= -REPORT_TOL, pre, notes)
 
 
 def bound_suite(g: BipartiteGraph) -> list[BoundReport]:

@@ -134,6 +134,14 @@ def test_expansion_command(tmp_path):
     assert lossless["epsilon"] == 0.375
 
 
+@pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+def test_expansion_rejects_nonfinite_gamma(tmp_path, capsys, gamma):
+    graph = _write_graph(tmp_path, bigraph.complete_bipartite(4, 4))
+    assert run(["expansion", "--graph", graph, f"--gamma={gamma}"]) == 2
+    assert run(["expansion", "--graph", graph, "--cap", "2", f"--gamma={gamma}"]) == 2
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_code_pipeline_json(tmp_path):
     out_json = tmp_path / "code.json"
     assert run(["code", "--pipeline", "8", "--json", str(out_json)]) == 0

@@ -249,6 +249,18 @@ def test_pchk_rejects_garbage():
         read_pchk("pchk 2 2\n11\n")
 
 
+def test_pchk_skips_indented_comment():
+    code = read_pchk("pchk 1 2\n  # indented comment\n11\n")
+    assert code.H.tolist() == [[1, 1]]
+
+
+def test_alist_rejects_truncated_text():
+    with pytest.raises(ValueError, match="line 1"):
+        read_alist("")
+    with pytest.raises(ValueError, match="line 3"):
+        read_alist("2 1\n1 1\n")
+
+
 def test_alist_rejects_weight_mismatch():
     with pytest.raises(ValueError, match="column weights"):
         read_alist("2 1\n1 2\n1\n2\n1\n1 2\n")

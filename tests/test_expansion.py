@@ -31,6 +31,43 @@ def _alpha_reversed_order(g, side: str, cap: int) -> float:
     )
 
 
+def _random_graph(rng: random.Random, n1: int, n2: int, p: float):
+    return build(n1, n2, [(u, v) for u in range(n1) for v in range(n2) if rng.random() < p])
+
+
+def _brute_expansion(g, side: str, cap: int) -> tuple[float, tuple[int, ...]]:
+    """Set unions over (size, lex) order, keeping the first strict minimum."""
+    neighbors = g.left_neighbors() if side == "left" else g.right_neighbors()
+    sets = [set(nb) for nb in neighbors]
+    best: tuple[float, tuple[int, ...]] = (math.inf, ())
+    for size in range(1, cap + 1):
+        for subset in combinations(range(len(sets)), size):
+            ratio = len(set().union(*(sets[v] for v in subset))) / size
+            if ratio < best[0]:
+                best = (ratio, subset)
+    return best
+
+
+def test_kernel_matches_set_brute_force():
+    rng = random.Random(2024)
+    for _ in range(25):
+        g = _random_graph(rng, rng.randint(1, 9), rng.randint(1, 9), rng.uniform(0.1, 0.7))
+        for side, side_size in (("left", g.n1), ("right", g.n2)):
+            for cap in range(1, min(side_size, 6) + 1):
+                report = vertex_expansion(g, side, cap)
+                assert report.exhaustive
+                assert (report.alpha, report.witness) == _brute_expansion(g, side, cap)
+
+
+def test_sampled_result_pinned():
+    # pinned: the seed fixes the draws, so alpha and the witness must not move
+    g = _random_graph(random.Random(9), 30, 14, 0.25)
+    report = vertex_expansion(g, "left", 4, seed=5, samples=2000)
+    assert not report.exhaustive
+    assert report.alpha == 4 / 3
+    assert report.witness == (13, 23, 26)
+
+
 def test_split_k84_alpha():
     split = vertex_split(complete_bipartite(8, 4)).split_graph
     report = vertex_expansion(split, "left", 2)
@@ -159,6 +196,15 @@ def test_ndc_check_cases():
         ndc_expander_check(complete_bipartite(3, 2), 1.0)
 
 
+def test_ndc_witness_is_first_violation_not_minimum():
+    g = _random_graph(random.Random(6), 6, 6, 0.5)
+    ok, witness = ndc_expander_check(g, 1.0)
+    assert not ok
+    # (2, 5) reaches fewer checks, but (2, 3) is the first pair that violates
+    assert witness == (2, 3)
+    assert _brute_expansion(g, "left", 2) == (1.0, (2, 5))
+
+
 def test_lossless_split_k84():
     split = vertex_split(complete_bipartite(8, 4)).split_graph
     params = lossless_parameters(split, 1 / 4)
@@ -208,6 +254,13 @@ def test_theorem_r4_cases():
     assert rep.case == 3
     assert rep.formula_alpha == pytest.approx(1 + ((8 - 3) - 3) / 6, abs=1e-12)
     split = vertex_split(complete_bipartite(8, 6)).split_graph
+    assert rep.measured_alpha == _brute_alpha_at_size(split, 3)
+
+
+def test_theorem_r4_witness_pinned():
+    rep = theorem_r4_report(8, 6, "seeded-random", 3)
+    assert rep.witness == (3, 4, 6)
+    split = vertex_split(complete_bipartite(8, 6), "seeded-random", 3).split_graph
     assert rep.measured_alpha == _brute_alpha_at_size(split, 3)
 
 
