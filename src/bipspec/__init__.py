@@ -57,6 +57,7 @@ from .spectra import (
 from .vsplit import (
     ConnectivityCriterionReport,
     VertexSplitResult,
+    measure_split,
     split_sidecar,
     theorem_r1_check,
     theorem_r2_check,

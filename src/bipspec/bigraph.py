@@ -193,40 +193,42 @@ def edge_connectivity(g: BipartiteGraph) -> int:
     """Edge connectivity via unit-capacity max-flow (Edmonds-Karp).
 
     Fixing source 0, the minimum s-t cut over all sinks t equals the global
-    minimum edge cut.  Intended for desk scale (n <= 64).  Returns 0 for
-    disconnected input.
+    minimum edge cut.  The minimum degree bounds that cut, and each s-t flow
+    stops once it reaches the best cut found so far: a larger flow could not
+    lower the minimum.  Returns 0 for disconnected input.
     """
     if not g.is_connected():
         return 0
     n = g.n
     if n < 2:
         return 0
-    pairs = [(u, g.n1 + v) for u, v in g.edges]
-    best = g.m
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(g.n1 + v)
+        adj[g.n1 + v].append(u)
+    best = min(len(nb) for nb in adj)
     for sink in range(1, n):
-        best = min(best, _max_flow_unit(n, pairs, 0, sink))
+        best = _max_flow_unit(adj, 0, sink, best)
     return best
 
 
-def _max_flow_unit(n: int, pairs: list[tuple[int, int]], s: int, t: int) -> int:
-    # residual capacities; undirected unit edges carry capacity 1 each way
-    cap = [[0] * n for _ in range(n)]
-    for u, v in pairs:
-        cap[u][v] = 1
-        cap[v][u] = 1
+def _max_flow_unit(adj: list[list[int]], s: int, t: int, limit: int) -> int:
+    """Unit-capacity s-t max flow over undirected adjacency lists, stopped
+    at limit augmenting paths."""
+    # residual capacities; an undirected unit edge carries capacity 1 each way
+    cap = [dict.fromkeys(nb, 1) for nb in adj]
     flow = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = s
+    while flow < limit:
+        parent = {s: s}
         queue = deque([s])
-        while queue and parent[t] == -1:
+        while queue and t not in parent:
             x = queue.popleft()
-            for y in range(n):
-                if parent[y] == -1 and cap[x][y] > 0:
+            for y, c in cap[x].items():
+                if c and y not in parent:
                     parent[y] = x
                     queue.append(y)
-        if parent[t] == -1:
-            return flow
+        if t not in parent:
+            break
         y = t
         while y != s:
             x = parent[y]
@@ -234,6 +236,7 @@ def _max_flow_unit(n: int, pairs: list[tuple[int, int]], s: int, t: int) -> int:
             cap[y][x] += 1
             y = x
         flow += 1
+    return flow
 
 
 def write_edge_list(g: BipartiteGraph) -> str:

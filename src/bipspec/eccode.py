@@ -341,24 +341,50 @@ def write_alist(code: LinearCode) -> str:
 
 
 def read_alist(text: str) -> LinearCode:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse the alist format, reading every line by its position.
 
-    def line(i: int, what: str) -> str:
+    An empty line is an empty entry list (an all-zero column or row), and a
+    0 entry is MacKay-style padding.  The row lists must describe the same
+    matrix as the column lists.  Malformed text raises ValueError naming
+    the alist line.
+    """
+    lines = text.splitlines()
+
+    def ints(i: int, what: str) -> list[int]:
         if i >= len(lines):
             raise ValueError(f"alist line {i + 1} ({what}) is missing")
-        return lines[i]
+        try:
+            return [int(x) for x in lines[i].split()]
+        except ValueError:
+            raise ValueError(f"alist line {i + 1} ({what}): expected integers") from None
 
-    cols, rows = (int(x) for x in line(0, "'<cols> <rows>' header").split())
-    col_weights = [int(x) for x in line(2, "column weights").split()]
+    def entries(i: int, what: str, weight: int, limit: int) -> list[int]:
+        found = [x for x in ints(i, what) if x != 0]
+        if any(not 1 <= x <= limit for x in found):
+            raise ValueError(f"alist line {i + 1} ({what}): index outside 1..{limit}")
+        if len(found) != weight or len(set(found)) != weight:
+            raise ValueError(f"alist line {i + 1} ({what}): weight mismatch, expected {weight}")
+        return found
+
+    header = ints(0, "'<cols> <rows>' header")
+    if len(header) != 2 or min(header) < 0:
+        raise ValueError("alist line 1: expected '<cols> <rows>'")
+    cols, rows = header
+    col_weights = ints(2, "column weights")
     if len(col_weights) != cols:
         raise ValueError(f"expected {cols} column weights, got {len(col_weights)}")
+    row_weights = ints(3, "row weights")
+    if len(row_weights) != rows:
+        raise ValueError(f"expected {rows} row weights, got {len(row_weights)}")
     H = np.zeros((rows, cols), dtype=np.uint8)
     for c in range(cols):
-        entries = [int(x) for x in line(4 + c, f"column {c} entries").split() if int(x) > 0]
-        if len(entries) != col_weights[c]:
-            raise ValueError(f"column {c}: weight mismatch")
-        for r in entries:
+        for r in entries(4 + c, f"column {c} entries", col_weights[c], rows):
             H[r - 1, c] = 1
+    for r in range(rows):
+        i = 4 + cols + r
+        found = entries(i, f"row {r} entries", row_weights[r], cols)
+        if sorted(found) != [c + 1 for c in np.flatnonzero(H[r])]:
+            raise ValueError(f"alist line {i + 1} (row {r} entries) disagrees with the column lists")
     return LinearCode.from_matrix(H)
 
 

@@ -1,11 +1,26 @@
 """Dense symmetric eigensolving and bipartite quotient-matrix reports.
 
-The eigensolver is a cyclic Jacobi iteration: rotation sweeps run until the
-off-diagonal Frobenius norm falls below 1e-12 times the matrix norm (at most
-100 sweeps), and every returned spectrum carries a certified eigenpair
-residual.  Determinism and certified accuracy at desk scale (n up to a few
-hundred) matter more here than raw speed, so no LAPACK-style solver is used
-on this path.
+One eigen-kernel serves every spectrum: one-sided (Hestenes) Jacobi, which
+rotates pairs of columns of a matrix G until they are orthogonal, W = G V.
+The column pairs are visited in the round-robin parallel ordering of Brent
+and Luk (1985), and the disjoint rotations of each step are applied as one
+array update; a pair is left alone once |w_p . w_q| <= sqrt(rows) eps
+||w_p|| ||w_q|| or <= (eps ||G||_F)^2, and sweeps stop when none rotates (at
+most 100).  Demmel and Veselic (1992) analyse the accuracy of the method.
+symmetric_eigenvalues picks the matrix G from M's data:
+
+- If some split point leaves both diagonal blocks of M zero (every
+  adjacency matrix of a bipartite graph), G is the off-diagonal block B,
+  transposed so the shorter side gives the columns.  The spectrum is
+  +-sigma_j(B) plus |n1 - n2| zeros.
+- Otherwise G is M shifted by its Gershgorin lower bound, which is positive
+  semidefinite, so its singular values are its eigenvalues (the shift is 0
+  for Laplacians).
+
+Every returned spectrum carries a residual certified against the full
+matrix, at most 1e-8 relative to max(1, ||M||_F): eigenpair residuals, and
+on the bipartite route a collective bound for the zero eigenvalues.  No
+LAPACK-style solver is used on this path.
 
 Quotient matrices of the bipartition are 2x2 with closed-form eigenvalues;
 the lifted n x n counterparts are materialized explicitly and verified
@@ -23,7 +38,6 @@ import numpy as np
 
 from .bigraph import BipartiteGraph
 
-JACOBI_REL_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 RESIDUAL_GATE = 1e-8
 REPORT_TOL = 1e-9
@@ -33,7 +47,7 @@ QUOTIENT_FLAVORS = ("adjacency", "laplacian")
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when Jacobi sweeps fail to reach the off-diagonal target."""
+    """Raised when Jacobi sweeps do not converge or a residual fails its gate."""
 
 
 @dataclass(frozen=True)
@@ -109,75 +123,151 @@ class SpectrumReport:
         }
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    # direct sum over off-diagonal entries; a ||A||^2 - sum(diag^2) formulation
-    # cancels catastrophically near convergence
-    B = A.copy()
-    np.fill_diagonal(B, 0.0)
-    return float(np.linalg.norm(B, "fro"))
+def _round_robin(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brent-Luk round-robin ordering of the column pairs of k columns.
+
+    Each step is a set of disjoint pairs (p[i], q[i]); the k' - 1 steps of a
+    sweep (k' = k rounded up to even) meet every pair exactly once.  Player 0
+    stays put and the others rotate one place per step; with k odd, the
+    player paired with the phantom k sits the step out.
+    """
+    players = np.arange(k + k % 2)
+    half = len(players) // 2
+    steps = []
+    for _ in range(len(players) - 1):
+        p, q = players[:half], players[::-1][:half]
+        real = (p < k) & (q < k)
+        steps.append((p[real], q[real]))
+        players = np.concatenate((players[:1], players[-1:], players[1:-1]))
+    return steps
+
+
+def _one_sided_jacobi(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Orthogonalize the columns of G by Hestenes rotations: W = G V.
+
+    Returns W^T, V^T (row j holds w_j and v_j) and the sweep count.  A pair
+    is rotated while |w_p . w_q| exceeds both sqrt(m) eps ||w_p|| ||w_q||
+    (m rows) and the absolute floor (eps ||G||_F)^2; the floor stops the
+    sweeps on rank-deficient G, whose null columns never become relatively
+    orthogonal.  Each step's disjoint rotations are applied as one update to
+    the stacked rows [w_j | v_j].
+    """
+    m, k = G.shape
+    Y = np.hstack((G.T, np.eye(k)))
+    eps = np.finfo(float).eps
+    tol = math.sqrt(m) * eps
+    floor = (eps * float(np.linalg.norm(G, "fro"))) ** 2
+    steps = _round_robin(k)
+    for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
+        rotated = False
+        for p, q in steps:
+            Yp, Yq = Y[p], Y[q]
+            Wp, Wq = Yp[:, :m], Yq[:, :m]
+            a = np.einsum("ij,ij->i", Wp, Wp)
+            b = np.einsum("ij,ij->i", Wq, Wq)
+            c = np.einsum("ij,ij->i", Wp, Wq)
+            rot = np.abs(c) > np.maximum(tol * np.sqrt(a * b), floor)
+            if not rot.any():
+                continue
+            if not rot.all():
+                p, q, Yp, Yq, a, b, c = p[rot], q[rot], Yp[rot], Yq[rot], a[rot], b[rot], c[rot]
+            rotated = True
+            zeta = (b - a) / (2.0 * c)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = (cs * t)[:, None]
+            cs = cs[:, None]
+            Y[p] = cs * Yp - sn * Yq
+            Y[q] = sn * Yp + cs * Yq
+        if not rotated:
+            return Y[:, :m], Y[:, m:], sweep
+    raise ConvergenceError(f"one-sided Jacobi still rotating after {JACOBI_MAX_SWEEPS} sweeps")
+
+
+def _bipartite_split(A: np.ndarray) -> int | None:
+    """First p in 1..n-1 with A[:p, :p] and A[p:, p:] both zero, if any."""
+    for p in range(1, A.shape[0]):
+        if A[:p, :p].any():
+            return None  # the leading block only grows with p
+        if not A[p:, p:].any():
+            return p
+    return None
+
+
+def _bipartite_spectrum(A: np.ndarray, p: int) -> tuple[np.ndarray, float, int]:
+    """Spectrum of [[0, B], [B^T, 0]] from the singular values of B.
+
+    Returns the descending eigenvalues, the certified residual and the
+    sweep count.  B is transposed so its shorter side gives the columns;
+    the eigenvalues are +-sigma_j plus |n1 - n2| zeros.  Each pair with
+    sigma_j above sqrt(eps) ||B||_F is certified through its eigenvectors
+    (u_j, +-v_j)/sqrt(2); the remaining (near-)zero eigenvalues are
+    certified collectively by ||A (I - X X^T)||_F over the complement of the
+    certified eigenvectors X, plus the largest of their |sigma_j|.
+    """
+    n = A.shape[0]
+    B = A[:p, p:]
+    transposed = B.shape[1] > B.shape[0]
+    G = B.T if transposed else B
+    Wt, Vt, sweeps = _one_sided_jacobi(G)
+    sigma = np.linalg.norm(Wt, axis=1)
+    order = np.argsort(-sigma, kind="stable")
+    sigma, Wt, Vt = sigma[order], Wt[order], Vt[order]
+    k = len(sigma)
+    # + 0.0 turns the -0.0 of an exact zero singular value into 0.0
+    vals = np.concatenate((sigma, np.zeros(n - 2 * k), -sigma[::-1])) + 0.0
+
+    big = sigma > math.sqrt(np.finfo(float).eps) * float(np.linalg.norm(G, "fro"))
+    r = int(big.sum())
+    U = Wt[:r] / sigma[:r, None]
+    left, right = (Vt[:r], U) if transposed else (U, Vt[:r])
+    X = np.zeros((n, 2 * r))
+    X[:p, :r] = X[:p, r:] = left.T
+    X[p:, :r] = right.T
+    X[p:, r:] = -right.T
+    X /= math.sqrt(2.0)
+    pair_vals = np.concatenate((sigma[:r], -sigma[:r]))
+    AX = A @ X
+    pairs = np.linalg.norm(AX - X * pair_vals[None, :], axis=0)
+    zeros = float(np.linalg.norm(A - AX @ X.T, "fro")) + float(sigma[r:].max(initial=0.0))
+    return vals, max(float(pairs.max(initial=0.0)), zeros), sweeps
+
+
+def _shifted_spectrum(A: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Spectrum of a general symmetric A, made PSD by a Gershgorin shift.
+
+    A - s I with s the Gershgorin lower bound is positive semidefinite, so
+    its singular values are its eigenvalues and the rotation matrix V holds
+    the eigenvectors.  Returns the descending eigenvalues, the residual of
+    every eigenpair against A and the sweep count.
+    """
+    diag = np.diag(A)
+    shift = float(np.min(diag - (np.abs(A).sum(axis=1) - np.abs(diag))))
+    Wt, Vt, sweeps = _one_sided_jacobi(A - shift * np.eye(A.shape[0]))
+    vals = np.linalg.norm(Wt, axis=1) + shift
+    order = np.argsort(-vals, kind="stable")
+    vals, V = vals[order], Vt[order].T
+    residuals = np.linalg.norm(A @ V - V * vals[None, :], axis=0)
+    return vals, float(residuals.max()), sweeps
 
 
 def symmetric_eigenvalues(M: SymmetricMatrix) -> SpectrumReport:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full spectrum of a symmetric matrix by one-sided Jacobi.
 
-    Raises ConvergenceError if the off-diagonal norm has not dropped below
-    1e-12 * ||M||_F after 100 sweeps, or if the certified residual exceeds
+    When some split point leaves both diagonal blocks of M zero (every
+    adjacency matrix of a bipartite graph), the off-diagonal block is
+    solved and its singular values give the spectrum; otherwise M itself is
+    solved after a Gershgorin shift.  Raises ConvergenceError if rotations
+    are still needed after 100 sweeps, or if the certified residual exceeds
     the 1e-8 gate.
     """
-    n = M.order
-    A = M.data.astype(float).copy()
-    norm_f = float(np.linalg.norm(A, "fro"))
-    if n == 1:
-        return SpectrumReport((float(A[0, 0]),), M.kind, 0.0, 0)
-    V = np.eye(n)
-    target = JACOBI_REL_TOL * norm_f
-    sweeps = 0
-    off = _offdiag_norm(A)
-    while off > target and sweeps < JACOBI_MAX_SWEEPS:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                if abs(apq) < 1e-150:
-                    # rotation would be numerically the identity
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        sweeps += 1
-        off = _offdiag_norm(A)
-    if off > target:
-        raise ConvergenceError(
-            f"Jacobi did not converge after {sweeps} sweeps: "
-            f"off-diagonal norm {off:.3e} > target {target:.3e}"
-        )
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    V = V[:, order]
-    residuals = np.linalg.norm(M.data @ V - V * vals[None, :], axis=0)
-    residual = float(residuals.max()) / max(1.0, norm_f)
+    A = M.data.astype(float)
+    p = _bipartite_split(A)
+    if p is None:
+        vals, residual, sweeps = _shifted_spectrum(A)
+    else:
+        vals, residual, sweeps = _bipartite_spectrum(A, p)
+    residual /= max(1.0, float(np.linalg.norm(A, "fro")))
     if residual > RESIDUAL_GATE:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-8 gate")
     return SpectrumReport(tuple(float(x) for x in vals), M.kind, residual, sweeps)
@@ -365,18 +455,24 @@ def _lower(bound_id: str, bound: float, observed: float, pre: bool, notes: str) 
     return BoundReport(bound_id, bound, observed, observed - bound >= -REPORT_TOL, pre, notes)
 
 
-def bound_suite(g: BipartiteGraph) -> list[BoundReport]:
+def bound_suite(
+    g: BipartiteGraph,
+    adjacency: SpectrumReport | None = None,
+    laplacian: SpectrumReport | None = None,
+) -> list[BoundReport]:
     """Evaluate every second-eigenvalue bound on g.
 
-    Inapplicable bounds (unmet preconditions) are still evaluated
-    observationally with preconditions_met = False.  Reports on disconnected
-    input carry a note, since most of the bounds presume connectivity.
+    adjacency and laplacian are g's spectra when the caller has already
+    solved them; each one missing is solved here.  Inapplicable bounds
+    (unmet preconditions) are still evaluated observationally with
+    preconditions_met = False.  Reports on disconnected input carry a note,
+    since most of the bounds presume connectivity.
     """
     if g.m == 0:
         raise ValueError("bound suite needs a nonempty graph")
     n1, n2, n, m = g.n1, g.n2, g.n, g.m
-    lam = symmetric_eigenvalues(adjacency_matrix(g)).eigenvalues
-    mu = symmetric_eigenvalues(laplacian_matrix(g)).eigenvalues
+    lam = (adjacency or symmetric_eigenvalues(adjacency_matrix(g))).eigenvalues
+    mu = (laplacian or symmetric_eigenvalues(laplacian_matrix(g))).eigenvalues
     profile = g.degree_profile()
     connected = g.is_connected()
     regular = profile.is_regular

@@ -151,12 +151,23 @@ class ConnectivityCriterionReport:
         }
 
 
-def _criterion_report(
-    theorem: str, split: VertexSplitResult, k: int, threshold: float, pre: bool, notes: str
-) -> ConnectivityCriterionReport:
+def measure_split(split: VertexSplitResult) -> tuple[float, int]:
+    """(lambda2', kappa') of the split graph: its second adjacency eigenvalue
+    and its edge connectivity, the two measurements every criterion reads."""
     spectrum = symmetric_eigenvalues(adjacency_matrix(split.split_graph))
-    lambda2p = spectrum.eigenvalues[1]
-    kappa = edge_connectivity(split.split_graph)
+    return spectrum.eigenvalues[1], edge_connectivity(split.split_graph)
+
+
+def _criterion_report(
+    theorem: str,
+    split: VertexSplitResult,
+    k: int,
+    threshold: float,
+    pre: bool,
+    notes: str,
+    measured: tuple[float, int] | None,
+) -> ConnectivityCriterionReport:
+    lambda2p, kappa = measured or measure_split(split)
     return ConnectivityCriterionReport(
         theorem=theorem,
         k=k,
@@ -170,8 +181,13 @@ def _criterion_report(
     )
 
 
-def theorem_r1_check(split: VertexSplitResult, k: int) -> ConnectivityCriterionReport:
-    """Regular-graph criterion: threshold (2k-1)/sqrt(2) on lambda2'."""
+def theorem_r1_check(
+    split: VertexSplitResult, k: int, measured: tuple[float, int] | None = None
+) -> ConnectivityCriterionReport:
+    """Regular-graph criterion: threshold (2k-1)/sqrt(2) on lambda2'.
+
+    measured is measure_split(split) when the caller already has it.
+    """
     notes = []
     if not split.original.degree_profile().is_regular:
         notes.append("original graph is not d-regular")
@@ -181,17 +197,23 @@ def theorem_r1_check(split: VertexSplitResult, k: int) -> ConnectivityCriterionR
     if delta_prime < k:
         notes.append(f"split minimum degree {delta_prime} < k = {k}")
     threshold = (2 * k - 1) / math.sqrt(2.0)
-    return _criterion_report("r1", split, k, threshold, not notes, "; ".join(notes))
+    return _criterion_report("r1", split, k, threshold, not notes, "; ".join(notes), measured)
 
 
 def theorem_r2_check(
-    g: BipartiteGraph, split: VertexSplitResult, k: int
+    g: BipartiteGraph,
+    split: VertexSplitResult,
+    k: int,
+    measured: tuple[float, int] | None = None,
 ) -> ConnectivityCriterionReport:
-    """Biregular criterion: threshold n2*(2k-1)/sqrt(2*n1*n2) on lambda2'."""
+    """Biregular criterion: threshold n2*(2k-1)/sqrt(2*n1*n2) on lambda2'.
+
+    measured is measure_split(split) when the caller already has it.
+    """
     notes = []
     if not g.degree_profile().is_biregular:
         notes.append("original graph is not biregular")
     if k < 2:
         notes.append(f"requires k >= 2, got {k}")
     threshold = g.n2 * (2 * k - 1) / math.sqrt(2 * g.n1 * g.n2)
-    return _criterion_report("r2", split, k, threshold, not notes, "; ".join(notes))
+    return _criterion_report("r2", split, k, threshold, not notes, "; ".join(notes), measured)

@@ -173,6 +173,18 @@ def test_edge_connectivity_matches_brute_force():
             assert edge_connectivity(g) == _brute_force_min_cut(g)
 
 
+def test_edge_connectivity_cut_below_min_degree():
+    # two K_{3,3} blocks joined by `bridges` edges: minimum degree 3, the
+    # cut between the blocks is smaller, so flows stop below their cap
+    for bridges in (1, 2):
+        edges = [(u, v) for u in range(3) for v in range(3)]
+        edges += [(u, v) for u in range(3, 6) for v in range(3, 6)]
+        edges += [(0, 3), (3, 0)][:bridges]
+        g = build(6, 6, edges)
+        assert g.degree_profile().delta == 3
+        assert edge_connectivity(g) == bridges == _brute_force_min_cut(g)
+
+
 def test_edge_connectivity_properties():
     for m, n in [(2, 3), (3, 3), (4, 2), (5, 4)]:
         g = complete_bipartite(m, n)

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from bipspec import bigraph
+from bipspec import bigraph, spectra
 from bipspec.cli import run
 from bipspec.vsplit import vertex_split
 
@@ -90,6 +91,33 @@ def test_bounds_golden_json(tmp_path):
     # inputs echo the (temporary) graph path; everything else must be frozen
     produced["inputs"]["graph"] = "p4.bip"
     assert produced == golden
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls of fn through every bipspec binding of it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bipspec" or name.startswith("bipspec."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
+    eig = _count_calls(monkeypatch, spectra.symmetric_eigenvalues)
+    kappa = _count_calls(monkeypatch, bigraph.edge_connectivity)
+    graph = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5))
+    assert run(["bounds", "--graph", graph]) == 0
+    assert (len(eig), len(kappa)) == (2, 0)
+    eig.clear()
+    assert run(["split", "--graph", graph, "--k", "2"]) == 0
+    assert (len(eig), len(kappa)) == (1, 1)
 
 
 def test_split_command_files_and_checks(tmp_path):

@@ -266,3 +266,26 @@ def test_alist_rejects_weight_mismatch():
         read_alist("2 1\n1 2\n1\n2\n1\n1 2\n")
     with pytest.raises(ValueError, match="weight mismatch"):
         read_alist("2 1\n1 2\n1 1\n2\n1\n\n1 2\n")
+
+
+def test_alist_roundtrip_all_zero_column():
+    code = LinearCode.from_matrix(np.array([[1, 0, 1], [1, 0, 0]], dtype=np.uint8))
+    again = read_alist(write_alist(code))
+    assert again.H.tolist() == [[1, 0, 1], [1, 0, 0]]
+
+
+def test_alist_rejects_index_above_rows():
+    with pytest.raises(ValueError, match=r"alist line 5 \(column 0 entries\): index outside 1..1"):
+        read_alist("2 1\n1 1\n1 1\n1\n5\n1\n1 2\n")
+
+
+def test_alist_rejects_row_lists_that_disagree():
+    # the row weight says 1 but the row lists both columns
+    with pytest.raises(ValueError, match=r"alist line 7 \(row 0 entries\): weight mismatch"):
+        read_alist("2 1\n1 1\n1 1\n1\n1\n1\n1 2\n")
+    # weights agree, but row 0 names column 2 where the columns put column 1
+    with pytest.raises(ValueError, match=r"alist line 7 \(row 0 entries\) disagrees"):
+        read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n")
+    # a correct row half is accepted, with MacKay zero padding
+    assert read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n").H.tolist() == [[1, 0], [0, 1]]
+    assert read_alist("2 1\n1 2\n1 1\n2\n1 0\n1\n1 2\n").H.tolist() == [[1, 1]]

@@ -124,6 +124,75 @@ def test_solver_descending_and_traces():
         assert abs(mu[-1]) <= 1e-8
 
 
+def _assert_matches_lapack(M: SymmetricMatrix) -> None:
+    rep = symmetric_eigenvalues(M)
+    ref = np.linalg.eigvalsh(M.data)[::-1]
+    assert len(rep.eigenvalues) == M.order
+    assert max(abs(a - b) for a, b in zip(rep.eigenvalues, ref)) <= 1e-10
+    assert list(rep.eigenvalues) == sorted(rep.eigenvalues, reverse=True)
+    assert rep.residual <= 1e-8
+
+
+def test_solver_shifted_path_on_custom_matrices():
+    # no split point leaves both diagonal blocks zero: negative and nonzero
+    # diagonals, dense and sparse, indefinite and definite
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5, 8, 13):
+        X = rng.normal(size=(n, n))
+        _assert_matches_lapack(SymmetricMatrix(X + X.T))
+        D = np.diag(rng.uniform(-6.0, -1.0, size=n))
+        _assert_matches_lapack(SymmetricMatrix(D + (X + X.T) / 4))
+    _assert_matches_lapack(SymmetricMatrix(np.diag([-3.0, 2.0, 0.0, 7.5])))
+    _assert_matches_lapack(SymmetricMatrix(np.array([[0.0, 1.0], [1.0, -2.0]])))
+    _assert_matches_lapack(SymmetricMatrix(np.array([[0.0, 0.0], [0.0, 5.0]])))
+
+
+def test_solver_rank_deficient_and_disconnected_graphs():
+    from bipspec.bigraph import BipartiteGraph
+
+    graphs = [
+        complete_bipartite(1, 9),  # star
+        complete_bipartite(9, 1),
+        complete_bipartite(3, 7),
+        complete_bipartite(6, 6),
+        random_tree(17, "balanced", 3),
+        random_tree(16, "unbalanced", 1),
+        build(4, 6, [(0, 0), (1, 1), (1, 2)]),  # isolated vertices on both sides
+        build(5, 3, [(0, 0), (0, 1), (3, 2), (4, 2)]),  # two components
+        BipartiteGraph(3, 5, frozenset()),  # no edges at all
+    ]
+    for g in graphs:
+        for builder in (adjacency_matrix, laplacian_matrix, signless_laplacian_matrix):
+            _assert_matches_lapack(builder(g))
+    zero = symmetric_eigenvalues(SymmetricMatrix(np.zeros((2, 2))))
+    assert zero.eigenvalues == (0.0, 0.0)
+    assert zero.residual == 0.0
+
+
+def test_solver_both_orientations_and_order_one():
+    rng = random.Random(6)
+    for n1, n2 in ((3, 11), (11, 3), (7, 8), (8, 7)):
+        edges = {(u, v) for u in range(n1) for v in range(n2) if rng.random() < 0.4}
+        g = build(n1, n2, edges | {(0, 0)})
+        rep = symmetric_eigenvalues(adjacency_matrix(g))
+        _assert_matches_lapack(adjacency_matrix(g))
+        # +-sigma pairs plus |n1 - n2| zeros, in that order
+        zeros = rep.eigenvalues[min(n1, n2) : max(n1, n2)]
+        assert zeros == (0.0,) * abs(n1 - n2)
+    one = symmetric_eigenvalues(SymmetricMatrix(np.array([[-2.5]])))
+    assert one.eigenvalues == (-2.5,)
+    assert one.residual == 0.0
+
+
+def test_solver_matches_lapack_at_n120():
+    rng = random.Random(120)
+    g = random_tree(120, "balanced", 12)
+    edges = set(g.edges) | {(rng.randrange(g.n1), rng.randrange(g.n2)) for _ in range(120)}
+    g = build(g.n1, g.n2, edges)
+    _assert_matches_lapack(adjacency_matrix(g))
+    _assert_matches_lapack(laplacian_matrix(g))
+
+
 def test_eigenvalue_clusters():
     rep = symmetric_eigenvalues(adjacency_matrix(complete_bipartite(4, 4)))
     clusters = eigenvalue_clusters(rep.eigenvalues)
