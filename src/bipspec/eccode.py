@@ -7,7 +7,8 @@ null space of H over GF(2); there is no generator-matrix path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .expansion import LosslessParams, lossless_parameters
 from .vsplit import VertexSplitResult, vertex_split
 
 MAX_ENUM_DIMENSION = 20
+TABLE_DIMENSION = 12  # basis vectors spanned into min_distance's table
 
 
 @dataclass(frozen=True)
@@ -23,7 +25,9 @@ class LinearCode:
     """Parity-check view of a binary linear code.
 
     n is the block length (columns of H), check_count the number of rows.
-    dimension = n - rank over GF(2); rate = dimension / n.
+    dimension = n - rank over GF(2); rate = dimension / n.  basis holds the
+    null-space basis of H, one codeword per row, from the same elimination
+    that gave the rank.
     """
 
     H: np.ndarray
@@ -32,14 +36,20 @@ class LinearCode:
     rank: int
     dimension: int
     rate: float
+    basis: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, H: np.ndarray) -> LinearCode:
         H = np.asarray(H, dtype=np.uint8) % 2
         rows, cols = H.shape
-        r = gf2_rank(H)
+        if cols == 0:
+            raise ValueError("block length must be >= 1, got 0 columns")
+        M, pivot_cols = _gf2_rref(H)
+        r = len(pivot_cols)
+        basis = _nullspace(M, pivot_cols)
         H.setflags(write=False)
-        return cls(H, cols, rows, r, cols - r, (cols - r) / cols)
+        basis.setflags(write=False)
+        return cls(H, cols, rows, r, cols - r, (cols - r) / cols, basis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,34 +69,58 @@ def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     return LinearCode.from_matrix(H)
 
 
+def _pack_rows(M: np.ndarray) -> np.ndarray:
+    """0/1 rows as uint64 words: column c is bit c % 64 of word c // 64."""
+    rows, cols = M.shape
+    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(M, axis=1, bitorder="little")
+    return packed.view(np.dtype("<u8"))
+
+
 def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2) with the pivot column list.
 
     Pivots follow the leftmost-lowest rule: columns are scanned left to
-    right, and the pivot is the first remaining row holding a 1.
+    right, and the pivot is the first remaining row holding a 1.  Rows are
+    packed into uint64 words; each pivot column takes one vectorised search
+    for the pivot row and one XOR of the pivot row into every other row
+    holding a 1.  The pivot row is zero left of its pivot column, so only
+    the words from the pivot's word on are XOR-ed.
     """
-    M = (np.asarray(H, dtype=np.uint8) % 2).copy()
+    M = np.asarray(H, dtype=np.uint8) % 2
     rows, cols = M.shape
+    P = _pack_rows(M)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = -1
-        for rr in range(r, rows):
-            if M[rr, c]:
-                pivot = rr
-                break
-        if pivot == -1:
-            continue
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-        for rr in range(rows):
-            if rr != r and M[rr, c]:
-                M[rr] ^= M[r]
-        pivot_cols.append(c)
-        r += 1
         if r == rows:
             break
+        word = c >> 6
+        column = P[:, word] & np.uint64(1 << (c & 63))
+        pivot = r + int(column[r:].argmax())
+        if not column[pivot]:
+            continue
+        if pivot != r:
+            P[[r, pivot]] = P[[pivot, r]]
+            column[pivot] = column[r]
+        column[r] = 0
+        P[np.flatnonzero(column), word:] ^= P[r, word:]
+        pivot_cols.append(c)
+        r += 1
+    M = np.unpackbits(P.view(np.uint8), axis=1, count=cols, bitorder="little")
     return M, pivot_cols
+
+
+def _nullspace(M: np.ndarray, pivot_cols: list[int]) -> np.ndarray:
+    """Null-space basis from an RREF: one vector per free column f, with a 1
+    at f and the RREF's column f on the pivot columns."""
+    free = np.ones(M.shape[1], dtype=bool)
+    free[pivot_cols] = False
+    free_cols = np.flatnonzero(free)
+    basis = np.zeros((free_cols.size, M.shape[1]), dtype=np.uint8)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivot_cols] = M[: len(pivot_cols), free].T
+    return basis
 
 
 def gf2_rank(H: np.ndarray) -> int:
@@ -96,23 +130,18 @@ def gf2_rank(H: np.ndarray) -> int:
 
 def gf2_nullspace(H: np.ndarray) -> np.ndarray:
     """Basis of the null space over GF(2), one vector per row, shape (k, n)."""
-    M, pivot_cols = _gf2_rref(H)
-    cols = M.shape[1]
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = np.zeros((len(free_cols), cols), dtype=np.uint8)
-    for idx, f in enumerate(free_cols):
-        basis[idx, f] = 1
-        for row, pc in enumerate(pivot_cols):
-            basis[idx, pc] = M[row, f]
-    return basis
+    return _nullspace(*_gf2_rref(H))
 
 
 def min_distance(code: LinearCode) -> int | None:
     """Minimum Hamming weight over nonzero codewords, by full enumeration.
 
     Returns None for the zero-dimensional code (distance undefined) and
-    refuses when 2^k exceeds 2^20.  Enumeration walks a Gray code over the
-    null-space basis so each step XORs a single basis vector.
+    refuses when 2^k exceeds 2^20.  The basis rows are packed into uint64
+    words; a table holds all 2^k1 combinations of the first k1 <= 12 basis
+    vectors, and a Gray code walks the 2^(k - k1) combinations of the rest,
+    XOR-ing each into the whole table and taking the least bit count.  The
+    zero word (the empty combination) is skipped, so the weight is exact.
     """
     k = code.dimension
     if k == 0:
@@ -122,15 +151,16 @@ def min_distance(code: LinearCode) -> int | None:
             f"minimum-distance enumeration infeasible: 2^{k} codewords "
             f"(limit 2^{MAX_ENUM_DIMENSION})"
         )
-    basis_rows = gf2_nullspace(code.H)
-    masks = [int("".join("1" if b else "0" for b in row[::-1]), 2) for row in basis_rows]
-    acc = 0
-    best = code.n + 1
-    for i in range(1, 1 << k):
-        acc ^= masks[(i & -i).bit_length() - 1]
-        w = acc.bit_count()
-        if w < best:
-            best = w
+    basis = _pack_rows(code.basis)
+    low, high = basis[:TABLE_DIMENSION], basis[TABLE_DIMENSION:]
+    table = np.zeros((1, basis.shape[1]), dtype=basis.dtype)
+    for row in low:
+        table = np.concatenate((table, table ^ row))
+    best = int(np.bitwise_count(table[1:]).sum(axis=1).min())
+    acc = np.zeros_like(table[0])
+    for i in range(1, 1 << len(high)):
+        acc ^= high[(i & -i).bit_length() - 1]
+        best = min(best, int(np.bitwise_count(table ^ acc).sum(axis=1).min()))
     return best
 
 
@@ -160,32 +190,44 @@ def bit_flip_decode(
     decoding stops when the syndrome vanishes, when no bit has a positive
     margin, or after max_iters flips.  Status "decoded" guarantees
     H @ word = 0 over GF(2).
+
+    The syndrome, the unsatisfied-check count and the margins are computed
+    once from the incidence lists of H; a flip toggles only its own checks
+    and moves the margins of their bits by 2 each.
     """
     word = np.asarray(received, dtype=np.uint8) % 2
     if word.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = word.copy()
-    H = code.H.astype(np.int64)
-    col_weight = H.sum(axis=0)
+    rows, n = code.H.shape
+    checks, bits = np.divmod(np.flatnonzero(code.H != 0), n)  # check-major: each check's bits
+    bit_checks = checks[np.argsort(bits, kind="stable")]  # bit-major: the checks of each bit
+    col_weight = np.bincount(bits, minlength=n)
+    bit_start = np.concatenate(([0], np.cumsum(col_weight)))
+    check_start = np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=rows))))
+    syndrome = np.bincount(checks[word[bits] == 1], minlength=rows) & 1
+    unsatisfied = int(syndrome.sum())
+    margin = 2 * np.bincount(bits[syndrome[checks] == 1], minlength=n) - col_weight
     flips = 0
-    while True:
-        syndrome = H @ word % 2
-        if not syndrome.any():
-            return word, "decoded"
+    while unsatisfied:
         if flips >= max_iters:
             return word, "failed"
-        unsat = H.T @ syndrome
-        margin = 2 * unsat - col_weight
         best = int(np.argmax(margin))
         if margin[best] <= 0:
             return word, "failed"
         word[best] ^= 1
         flips += 1
+        for j in bit_checks[bit_start[best] : bit_start[best + 1]].tolist():
+            syndrome[j] ^= 1
+            step = 1 if syndrome[j] else -1
+            unsatisfied += step
+            margin[bits[check_start[j] : check_start[j + 1]]] += 2 * step
+    return word, "decoded"
 
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Brute-force distance next to the expander bounds.
+    """Exact (exhaustively enumerated) distance next to the expander bounds.
 
     bound_holds is None (not applicable) unless the expansion premises were
     verified and the true distance was computable.
@@ -273,7 +315,7 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
     d1 = n1/2), split with the canonical round-robin rule; bits are the n1
     left vertices and the 2 * n1/2 = n1 split right vertices are the checks.
     Expansion is measured exhaustively at gamma = 1/d1 (subsets of size at
-    most 2) and both distance bounds are evaluated against the brute-force
+    most 2) and both distance bounds are evaluated against the exact
     minimum distance when the dimension permits.
     """
     if n1 < 8 or n1 % 2:
@@ -306,18 +348,31 @@ def write_pchk(code: LinearCode) -> str:
 
 
 def read_pchk(text: str) -> LinearCode:
-    stripped = (raw.strip() for raw in text.splitlines())
-    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("pchk"):
+    """Parse the dense format, skipping blank lines and `#` comments.
+
+    Malformed text raises ValueError naming the pchk line (counting every
+    line of the text from 1).
+    """
+    lines = [
+        (at, line)
+        for at, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not lines:
         raise ValueError("missing 'pchk <rows> <cols>' header")
-    _, rows_s, cols_s = lines[0].split()
-    rows, cols = int(rows_s), int(cols_s)
+    at, header = lines[0]
+    match = re.fullmatch(r"pchk\s+([0-9]+)\s+([0-9]+)", header)
+    if match is None:
+        raise ValueError(f"pchk line {at}: expected a 'pchk <rows> <cols>' header, got {header!r}")
+    rows, cols = int(match[1]), int(match[2])
+    if cols == 0:
+        raise ValueError(f"pchk line {at}: block length must be >= 1, got 0 columns")
     if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} matrix rows, got {len(lines) - 1}")
+        raise ValueError(f"pchk line {at}: expected {rows} matrix rows, got {len(lines) - 1}")
     H = np.zeros((rows, cols), dtype=np.uint8)
-    for r, line in enumerate(lines[1:]):
+    for r, (at, line) in enumerate(lines[1:]):
         if len(line) != cols or set(line) - {"0", "1"}:
-            raise ValueError(f"row {r}: expected {cols} characters of 0/1")
+            raise ValueError(f"pchk line {at} (row {r}): expected {cols} characters of 0/1")
         H[r] = [int(ch) for ch in line]
     return LinearCode.from_matrix(H)
 
@@ -370,6 +425,8 @@ def read_alist(text: str) -> LinearCode:
     if len(header) != 2 or min(header) < 0:
         raise ValueError("alist line 1: expected '<cols> <rows>'")
     cols, rows = header
+    if cols == 0:
+        raise ValueError("alist line 1: block length must be >= 1, got 0 columns")
     col_weights = ints(2, "column weights")
     if len(col_weights) != cols:
         raise ValueError(f"expected {cols} column weights, got {len(col_weights)}")
@@ -393,7 +450,7 @@ def codewords(code: LinearCode) -> list[np.ndarray]:
     k = code.dimension
     if k > MAX_ENUM_DIMENSION:
         raise ValueError(f"codeword enumeration infeasible: 2^{k}")
-    basis = gf2_nullspace(code.H)
+    basis = code.basis
     out = []
     for i in range(1 << k):
         w = np.zeros(code.n, dtype=np.uint8)

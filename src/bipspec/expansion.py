@@ -91,6 +91,13 @@ def _min_ratio(reached: Iterable[tuple[tuple[int, ...], int]]) -> tuple[float, t
     return best_ratio, best_subset
 
 
+def _gamma_cap(gamma: float, side_size: int) -> int:
+    """The subset cap floor(gamma * side size) of a finite gamma."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    return math.floor(gamma * side_size)
+
+
 def vertex_expansion(
     g: BipartiteGraph,
     side: str,
@@ -115,9 +122,7 @@ def vertex_expansion(
     if cap is None:
         if gamma is None:
             raise ValueError("need a subset cap or a gamma fraction")
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma}")
-        cap = math.floor(gamma * side_size)
+        cap = _gamma_cap(gamma, side_size)
     if cap < 1:
         raise ValueError(f"subset cap must be >= 1, got {cap}")
     cap = min(cap, side_size)
@@ -204,11 +209,27 @@ def lossless_parameters(g: BipartiteGraph, gamma: float) -> LosslessParams:
     cap of at least one vertex.  epsilon = 1 - alpha/D, so alpha = D(1-epsilon)
     by construction.
     """
+    return _lossless_parameters(g, gamma, None)
+
+
+def _lossless_parameters(
+    g: BipartiteGraph, gamma: float, report: ExpansionReport | None
+) -> LosslessParams:
+    """lossless_parameters, reusing `report` when it is an exhaustive
+    left-side report at the cap gamma gives, so the subsets are enumerated
+    once; any other report is ignored and the enumeration runs."""
     profile = g.degree_profile()
     if not profile.is_left_regular:
         raise ValueError("graph is not left-regular; left degree D is undefined")
     D = profile.left_degrees[0]
-    report = vertex_expansion(g, "left", gamma=gamma, require_exhaustive=True)
+    reusable = (
+        report is not None
+        and report.side == "left"
+        and report.exhaustive
+        and report.subset_cap == min(_gamma_cap(gamma, g.n1), g.n1)
+    )
+    if not reusable:
+        report = vertex_expansion(g, "left", gamma=gamma, require_exhaustive=True)
     epsilon = 1.0 - report.alpha / D
     return LosslessParams(g.n1, g.n2, D, gamma, report.alpha, epsilon, report.exhaustive)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bipspec import bigraph, spectra
+from bipspec import bigraph, eccode, expansion, spectra
 from bipspec.cli import run
 from bipspec.vsplit import vertex_split
 
@@ -118,6 +118,39 @@ def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
     eig.clear()
     assert run(["split", "--graph", graph, "--k", "2"]) == 0
     assert (len(eig), len(kappa)) == (1, 1)
+
+
+def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
+    g = vertex_split(bigraph.complete_bipartite(8, 4)).split_graph
+    graph = _write_graph(tmp_path, g)
+    expected = expansion.lossless_parameters(g, 0.25).to_json_dict()
+    calls = _count_calls(monkeypatch, expansion.vertex_expansion)
+    out_json = tmp_path / "exp.json"
+    assert run(["expansion", "--graph", graph, "--gamma", "0.25", "--json", str(out_json)]) == 0
+    assert len(calls) == 1
+    lossless = json.loads(out_json.read_text(encoding="utf-8"))["findings"][1]
+    assert lossless == {"type": "lossless", **expected}
+    # --cap 2 is the cap gamma gives, so the report is reused; --cap 3 is not
+    calls.clear()
+    assert run(["expansion", "--graph", graph, "--cap", "2", "--gamma", "0.25"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(["expansion", "--graph", graph, "--cap", "3", "--gamma", "0.25", "--json", str(out_json)]) == 0
+    assert len(calls) == 2
+    lossless = json.loads(out_json.read_text(encoding="utf-8"))["findings"][1]
+    assert lossless == {"type": "lossless", **expected}
+
+
+def test_each_parity_check_matrix_reduced_once_per_command(tmp_path, monkeypatch):
+    rref = _count_calls(monkeypatch, eccode._gf2_rref)
+    graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph)
+    out_json = tmp_path / "code.json"
+    assert run(["code", "--graph", graph, "--json", str(out_json)]) == 0
+    assert len(rref) == 1
+    assert json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]["true_distance"] == 4
+    rref.clear()
+    assert run(["code", "--pipeline", "8"]) == 0
+    assert len(rref) == 1
 
 
 def test_split_command_files_and_checks(tmp_path):

@@ -5,10 +5,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipspec.bigraph import complete_bipartite
 from bipspec.eccode import (
     LinearCode,
+    _gf2_rref,
     bit_flip_decode,
     codewords,
     construct_expander_code,
@@ -289,3 +292,233 @@ def test_alist_rejects_row_lists_that_disagree():
     # a correct row half is accepted, with MacKay zero padding
     assert read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n").H.tolist() == [[1, 0], [0, 1]]
     assert read_alist("2 1\n1 2\n1 1\n2\n1 0\n1\n1 2\n").H.tolist() == [[1, 1]]
+
+
+def test_pchk_rejects_zero_block_length():
+    with pytest.raises(ValueError, match=r"pchk line 1: block length must be >= 1"):
+        read_pchk("pchk 0 0\n")
+
+
+def test_alist_rejects_zero_block_length():
+    with pytest.raises(ValueError, match=r"alist line 1: block length must be >= 1"):
+        read_alist("0 0\n0 0\n\n\n")
+
+
+@pytest.mark.parametrize("header", ["pchkfoo 1 2", "pchk 2", "pchk x 2", "pchk 1 2 3", "pchk -1 2"])
+def test_pchk_rejects_malformed_header(header):
+    with pytest.raises(ValueError, match=r"pchk line 2: expected a 'pchk <rows> <cols>' header"):
+        read_pchk(f"# comment\n{header}\n11\n")
+
+
+def test_pchk_errors_name_the_line():
+    with pytest.raises(ValueError, match=r"pchk line 4 \(row 1\): expected 2 characters"):
+        read_pchk("pchk 2 2\n11\n\n1x\n")
+    with pytest.raises(ValueError, match=r"pchk line 1: expected 2 matrix rows, got 1"):
+        read_pchk("pchk 2 2\n11\n")
+
+
+def test_from_matrix_rejects_zero_columns():
+    with pytest.raises(ValueError, match="block length"):
+        LinearCode.from_matrix(np.zeros((2, 0), dtype=np.uint8))
+
+
+# ------------------------------------------------------------------ oracles
+#
+# Independent references for the numpy kernels: GF(2) elimination on Python
+# int rows, and the per-element loops the kernels replaced.
+
+
+def _int_rows(H: np.ndarray) -> list[int]:
+    """Row r as an int whose bit c is H[r, c]."""
+    return [sum(1 << c for c in np.flatnonzero(row).tolist()) for row in np.asarray(H) % 2]
+
+
+def _int_rref(H: np.ndarray) -> tuple[list[int], list[int]]:
+    """The (unique) RREF rows and pivot columns by leading-bit insertion.
+
+    The leading bit of a row is its lowest set bit, i.e. its leftmost column.
+    """
+    basis: dict[int, int] = {}
+    for row in _int_rows(H):
+        while row:
+            lead = (row & -row).bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    for lead in sorted(basis):
+        for other in basis:
+            if other != lead and basis[other] >> lead & 1:
+                basis[other] ^= basis[lead]
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def _int_nullspace(H: np.ndarray) -> list[int]:
+    """Null-space basis: per free column f, bit f plus the pivots whose RREF row holds f."""
+    rows, pivots = _int_rref(H)
+    free = [c for c in range(H.shape[1]) if c not in pivots]
+    return [
+        (1 << f) | sum(1 << p for p, row in zip(pivots, rows) if row >> f & 1) for f in free
+    ]
+
+
+def _gray_min_weight(masks: list[int], n: int) -> int:
+    """The Gray-code enumerator min_distance used before it was vectorised."""
+    acc = 0
+    best = n + 1
+    for i in range(1, 1 << len(masks)):
+        acc ^= masks[(i & -i).bit_length() - 1]
+        w = acc.bit_count()
+        if w < best:
+            best = w
+    return best
+
+
+def _dense_bit_flip(H: np.ndarray, received, max_iters: int) -> tuple[np.ndarray, str]:
+    """The dense decoder loop bit_flip_decode used before it went incremental."""
+    word = (np.asarray(received, dtype=np.uint8) % 2).copy()
+    H = H.astype(np.int64)
+    col_weight = H.sum(axis=0)
+    flips = 0
+    while True:
+        syndrome = H @ word % 2
+        if not syndrome.any():
+            return word, "decoded"
+        if flips >= max_iters:
+            return word, "failed"
+        margin = 2 * (H.T @ syndrome) - col_weight
+        best = int(np.argmax(margin))
+        if margin[best] <= 0:
+            return word, "failed"
+        word[best] ^= 1
+        flips += 1
+
+
+def _elimination_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for cols in (1, 5, 63, 64, 65, 129):
+        for rows in (1, cols // 2 + 1, cols + 7):  # rows > cols in the last
+            for p in (0.05, 0.5):
+                H = (rng.random((rows, cols)) < p).astype(np.uint8)
+                if rows > 2:
+                    H[rows // 2] = 0  # a zero row
+                    H[-1] = H[0]  # a duplicate row
+                if cols > 2:
+                    H[:, cols // 3] = 0  # a zero column
+                cases.append(H)
+    cases.append(np.zeros((3, 64), dtype=np.uint8))
+    cases.append(np.ones((70, 65), dtype=np.uint8))
+    return cases
+
+
+def test_rref_rank_nullspace_match_int_elimination():
+    for H in _elimination_cases():
+        rows, pivots = _int_rref(H)
+        M, pivot_cols = _gf2_rref(H)
+        assert pivot_cols == pivots
+        assert _int_rows(M[: len(rows)]) == rows
+        assert not M[len(rows):].any()
+        assert M.shape == H.shape and M.dtype == np.uint8
+        assert gf2_rank(H) == len(pivots)
+        basis = gf2_nullspace(H)
+        assert basis.shape == (H.shape[1] - len(pivots), H.shape[1])
+        assert _int_rows(basis) == _int_nullspace(H)
+
+
+def test_rref_leaves_input_unchanged():
+    H = np.array([[0, 1, 1], [1, 1, 0]], dtype=np.uint8)
+    _gf2_rref(H)
+    assert H.tolist() == [[0, 1, 1], [1, 1, 0]]
+
+
+def _code_of_dimension(n: int, k: int, p: float, rng: np.random.Generator) -> LinearCode:
+    """A code with H = [I | A] up to a column permutation, so dimension k exactly."""
+    H = np.zeros((n - k, n), dtype=np.uint8)
+    H[:, : n - k] = np.eye(n - k, dtype=np.uint8)
+    H[:, n - k:] = rng.random((n - k, k)) < p
+    return LinearCode.from_matrix(H[:, rng.permutation(n)])
+
+
+def test_min_distance_matches_brute_force_small_codes():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 15))
+        H = (rng.random((int(rng.integers(1, n + 2)), n)) < rng.choice([0.2, 0.5])).astype(np.uint8)
+        code = LinearCode.from_matrix(H)
+        assert min_distance(code) == _brute_min_weight(code.H)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_min_distance_matches_gray_code_enumerator(n):
+    rng = np.random.default_rng(n)
+    for k, p in ((1, 0.5), (7, 0.1), (12, 0.3), (13, 0.05), (17, 0.2), (20, 0.1)):
+        code = _code_of_dimension(n, k, p, rng)
+        assert code.dimension == k
+        assert min_distance(code) == _gray_min_weight(_int_nullspace(code.H), n)
+
+
+def _regular_code(n: int, rng: random.Random) -> LinearCode:
+    """Column weight 3 over n/2 checks, like the benchmark's decoder codes."""
+    H = np.zeros((n // 2, n), dtype=np.uint8)
+    for bit in range(n):
+        H[rng.sample(range(n // 2), 3), bit] = 1
+    return LinearCode.from_matrix(H)
+
+
+def test_bit_flip_matches_dense_loop():
+    rng = random.Random(33)
+    statuses = set()
+    for n in (200, 300, 400):
+        code = _regular_code(n, rng)
+        for rate in (0.01, 0.02, 0.03, 0.05, 0.2):
+            word = np.zeros(n, dtype=np.uint8)
+            word[rng.sample(range(n), round(rate * n))] = 1
+            for max_iters in (0, 1, 5, n):
+                decoded, status = bit_flip_decode(code, word, max_iters)
+                expected, expected_status = _dense_bit_flip(code.H, word, max_iters)
+                assert status == expected_status
+                assert np.array_equal(decoded, expected)
+                assert decoded.dtype == np.uint8
+                statuses.add((status, max_iters == 0))
+    # decoded and failed words both occur, with and without any flip allowed
+    assert {("decoded", False), ("failed", False), ("failed", True)} <= statuses
+
+
+def test_bit_flip_margin_tie_goes_to_lowest_index():
+    code = LinearCode.from_matrix(np.eye(2, dtype=np.uint8))
+    # both bits see one unsatisfied check and no satisfied one: margin 1 each
+    decoded, status = bit_flip_decode(code, [1, 1], max_iters=1)
+    assert (decoded.tolist(), status) == ([0, 1], "failed")
+    assert _dense_bit_flip(code.H, [1, 1], 1)[0].tolist() == [0, 1]
+    decoded, status = bit_flip_decode(code, [1, 1], max_iters=5)
+    assert (decoded.tolist(), status) == ([0, 0], "decoded")
+    code = LinearCode.from_matrix(np.array([[1, 1]], dtype=np.uint8))
+    assert bit_flip_decode(code, [0, 1], max_iters=1)[0].tolist() == [1, 1]
+
+
+def test_bit_flip_leaves_received_word_unchanged():
+    code = _regular_code(40, random.Random(2))
+    received = np.zeros(40, dtype=np.uint8)
+    received[[3, 17]] = 1
+    bit_flip_decode(code, received, 40)
+    assert np.flatnonzero(received).tolist() == [3, 17]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bit_flip_property_matches_dense_loop(data):
+    rows = data.draw(st.integers(1, 6), label="rows")
+    cols = data.draw(st.integers(1, 9), label="cols")
+    row = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    H = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows), label="H"), dtype=np.uint8)
+    word = data.draw(row, label="word")
+    max_iters = data.draw(st.integers(0, 12), label="max_iters")
+    code = LinearCode.from_matrix(H)
+    decoded, status = bit_flip_decode(code, word, max_iters)
+    expected, expected_status = _dense_bit_flip(H, word, max_iters)
+    assert status == expected_status
+    assert np.array_equal(decoded, expected)
+    if status == "decoded":
+        assert not (H.astype(int) @ decoded % 2).any()
