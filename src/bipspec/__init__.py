@@ -20,8 +20,6 @@ from .eccode import (
     codewords,
     construct_expander_code,
     distance_bounds,
-    gf2_nullspace,
-    gf2_rank,
     min_distance,
     parity_check_from_graph,
     read_alist,
@@ -35,7 +33,6 @@ from .expansion import (
     corollary_r5_gamma,
     lossless_parameters,
     ndc_expander_check,
-    spectral_expansion,
     theorem_r4_report,
     vertex_expansion,
 )

@@ -49,16 +49,7 @@ def _random_connected_bipartite(rng: random.Random, max_n: int = 12) -> Bipartit
     n = rng.randint(2, max_n)
     n1 = rng.randint(1, n - 1)
     n2 = n - n1
-    edges = {(0, 0)}
-    left_used, right_used = 1, 1
-    while left_used + right_used < n:
-        grow_left = left_used < n1 and (right_used >= n2 or rng.random() < 0.5)
-        if grow_left:
-            edges.add((left_used, rng.randrange(right_used)))
-            left_used += 1
-        else:
-            edges.add((rng.randrange(left_used), right_used))
-            right_used += 1
+    edges = set(bigraph._tree_edges(rng, n1, n2))
     for u in range(n1):
         for v in range(n2):
             if (u, v) not in edges and rng.random() < 0.3:

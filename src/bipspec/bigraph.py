@@ -11,6 +11,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -57,9 +59,20 @@ class BipartiteGraph:
             adj[v].append(u)
         return adj
 
+    def biadjacency(self) -> np.ndarray:
+        """The n1 x n2 0/1 matrix B with B[u, v] = 1 exactly for edge (u, v)."""
+        B = np.zeros((self.n1, self.n2), dtype=np.uint8)
+        for u, v in self.edges:
+            B[u, v] = 1
+        return B
+
     def degree_profile(self) -> DegreeProfile:
-        left = tuple(len(nb) for nb in self.left_neighbors())
-        right = tuple(len(nb) for nb in self.right_neighbors())
+        left_count = [0] * self.n1
+        right_count = [0] * self.n2
+        for u, v in self.edges:
+            left_count[u] += 1
+            right_count[v] += 1
+        left, right = tuple(left_count), tuple(right_count)
         delta = min(min(left), min(right))
         left_regular = len(set(left)) == 1
         biregular = left_regular and len(set(right)) == 1
@@ -70,10 +83,7 @@ class BipartiteGraph:
         """BFS over the whole vertex set (left indices first, then right)."""
         if self.n <= 1:
             return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(self.n1 + v)
-            adj[self.n1 + v].append(u)
+        adj = _vertex_adjacency(self)
         seen = [False] * self.n
         seen[0] = True
         queue = deque([0])
@@ -86,6 +96,16 @@ class BipartiteGraph:
                     count += 1
                     queue.append(y)
         return count == self.n
+
+
+def _vertex_adjacency(g: BipartiteGraph) -> list[list[int]]:
+    """Neighbor lists over the whole vertex set: left vertex u is u, right
+    vertex v is n1 + v."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(g.n1 + v)
+        adj[g.n1 + v].append(u)
+    return adj
 
 
 def build(n1: int, n2: int, edges) -> BipartiteGraph:
@@ -168,12 +188,17 @@ def random_tree(n: int, mode: str, seed: int) -> BipartiteGraph:
     if n < 2:
         raise ValueError(f"tree needs at least 2 vertices, got {n}")
     a, b = _tree_side_sizes(n, mode)
-    rng = random.Random(seed)
+    return build(a, b, _tree_edges(random.Random(seed), a, b))
+
+
+def _tree_edges(rng: random.Random, n1: int, n2: int) -> list[tuple[int, int]]:
+    """random_tree's growth loop: spanning-tree edges on sides of sizes n1
+    and n2, drawn from rng."""
     edges = [(0, 0)]
     left_used, right_used = 1, 1
-    while left_used + right_used < n:
-        can_left = left_used < a
-        can_right = right_used < b
+    while left_used + right_used < n1 + n2:
+        can_left = left_used < n1
+        can_right = right_used < n2
         grow_left = rng.random() < 0.5 if can_left and can_right else can_left
         if grow_left:
             edges.append((left_used, rng.randrange(right_used)))
@@ -181,7 +206,7 @@ def random_tree(n: int, mode: str, seed: int) -> BipartiteGraph:
         else:
             edges.append((rng.randrange(left_used), right_used))
             right_used += 1
-    return build(a, b, edges)
+    return edges
 
 
 def is_minimally_connected(g: BipartiteGraph) -> bool:
@@ -199,15 +224,11 @@ def edge_connectivity(g: BipartiteGraph) -> int:
     """
     if not g.is_connected():
         return 0
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         return 0
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(g.n1 + v)
-        adj[g.n1 + v].append(u)
+    adj = _vertex_adjacency(g)
     best = min(len(nb) for nb in adj)
-    for sink in range(1, n):
+    for sink in range(1, g.n):
         best = _max_flow_unit(adj, 0, sink, best)
     return best
 

@@ -4,7 +4,7 @@ Every number in the emitted reports comes from a library operation; the CLI
 only orchestrates and serializes.  Exit codes separate observation from
 misuse: 0 means no claim was violated on this input, 1 means at least one
 report flagged a violated claim (data, not a crash), 2 means usage or input
-error.
+error, and 3 means an internal error (a bug), with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import bigraph, eccode, expansion, spectra, vsplit
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _load_graph(path: str) -> bigraph.BipartiteGraph:
@@ -133,20 +135,15 @@ def _cmd_split(args) -> int:
     print(f"split: {g.n1}+{g.n2} -> {split.n1}+{split.n2} vertices, {split.m} edges ({args.rule})")
     for w in result.warnings:
         print(f"  warning: {w}")
+    sidecar = vsplit.split_sidecar(result)
     findings: list[dict] = [
-        {
-            "type": "split",
-            "n1": split.n1,
-            "n2_prime": split.n2,
-            "m": split.m,
-            **vsplit.split_sidecar(result),
-        }
+        {"type": "split", "n1": split.n1, "n2_prime": split.n2, "m": split.m, **sidecar}
     ]
     if args.out:
         base = Path(args.out)
         base.with_suffix(".bip").write_text(bigraph.write_edge_list(split), encoding="utf-8")
         base.with_suffix(".json").write_text(
-            json.dumps(vsplit.split_sidecar(result), indent=2, sort_keys=True) + "\n",
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         print(f"wrote {base.with_suffix('.bip')} and {base.with_suffix('.json')}")
@@ -154,7 +151,7 @@ def _cmd_split(args) -> int:
         measured = vsplit.measure_split(result)
         for rep in (
             vsplit.theorem_r1_check(result, args.k, measured),
-            vsplit.theorem_r2_check(g, result, args.k, measured),
+            vsplit.theorem_r2_check(result, args.k, measured),
         ):
             findings.append({"type": "connectivity-criterion", **rep.to_json_dict()})
             print(
@@ -315,6 +312,9 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:  # any other exception is a bug, never a finding
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 def main() -> None:

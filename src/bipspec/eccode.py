@@ -20,14 +20,15 @@ MAX_ENUM_DIMENSION = 20
 TABLE_DIMENSION = 12  # basis vectors spanned into min_distance's table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """Parity-check view of a binary linear code.
 
     n is the block length (columns of H), check_count the number of rows.
     dimension = n - rank over GF(2); rate = dimension / n.  basis holds the
     null-space basis of H, one codeword per row, from the same elimination
-    that gave the rank.
+    that gave the rank.  Codes compare and hash by H, which determines every
+    other field.
     """
 
     H: np.ndarray
@@ -36,7 +37,7 @@ class LinearCode:
     rank: int
     dimension: int
     rate: float
-    basis: np.ndarray = field(repr=False, compare=False)
+    basis: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrix(cls, H: np.ndarray) -> LinearCode:
@@ -51,6 +52,14 @@ class LinearCode:
         basis.setflags(write=False)
         return cls(H, cols, rows, r, cols - r, (cols - r) / cols, basis)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return np.array_equal(self.H, other.H)
+
+    def __hash__(self) -> int:
+        return hash((self.H.shape, self.H.tobytes()))
+
     def to_json_dict(self) -> dict:
         return {
             "block_length": self.n,
@@ -63,10 +72,8 @@ class LinearCode:
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     """Parity-check matrix of the factor graph: bits = X, checks = Y."""
-    H = np.zeros((g.n2, g.n1), dtype=np.uint8)
-    for i, j in g.edges:
-        H[j, i] = 1
-    return LinearCode.from_matrix(H)
+    # C order: H's rows are packed and scanned row by row downstream
+    return LinearCode.from_matrix(np.ascontiguousarray(g.biadjacency().T))
 
 
 def _pack_rows(M: np.ndarray) -> np.ndarray:
@@ -123,14 +130,13 @@ def _nullspace(M: np.ndarray, pivot_cols: list[int]) -> np.ndarray:
     return basis
 
 
-def gf2_rank(H: np.ndarray) -> int:
-    """Rank over GF(2) by Gaussian elimination (deterministic pivoting)."""
-    return len(_gf2_rref(H)[1])
-
-
-def gf2_nullspace(H: np.ndarray) -> np.ndarray:
-    """Basis of the null space over GF(2), one vector per row, shape (k, n)."""
-    return _nullspace(*_gf2_rref(H))
+def _span(rows: np.ndarray) -> np.ndarray:
+    """All 2^len(rows) XOR combinations of rows, built by doubling:
+    combination i holds row b exactly when bit b of i is set."""
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        table = np.concatenate((table, table ^ row))
+    return table
 
 
 def min_distance(code: LinearCode) -> int | None:
@@ -152,10 +158,7 @@ def min_distance(code: LinearCode) -> int | None:
             f"(limit 2^{MAX_ENUM_DIMENSION})"
         )
     basis = _pack_rows(code.basis)
-    low, high = basis[:TABLE_DIMENSION], basis[TABLE_DIMENSION:]
-    table = np.zeros((1, basis.shape[1]), dtype=basis.dtype)
-    for row in low:
-        table = np.concatenate((table, table ^ row))
+    table, high = _span(basis[:TABLE_DIMENSION]), basis[TABLE_DIMENSION:]
     best = int(np.bitwise_count(table[1:]).sum(axis=1).min())
     acc = np.zeros_like(table[0])
     for i in range(1, 1 << len(high)):
@@ -450,12 +453,4 @@ def codewords(code: LinearCode) -> list[np.ndarray]:
     k = code.dimension
     if k > MAX_ENUM_DIMENSION:
         raise ValueError(f"codeword enumeration infeasible: 2^{k}")
-    basis = code.basis
-    out = []
-    for i in range(1 << k):
-        w = np.zeros(code.n, dtype=np.uint8)
-        for b in range(k):
-            if i >> b & 1:
-                w ^= basis[b]
-        out.append(w)
-    return out
+    return list(_span(code.basis))

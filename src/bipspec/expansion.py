@@ -1,4 +1,4 @@
-"""Vertex expansion by subset enumeration, spectral expansion, expander checks.
+"""Vertex expansion by subset enumeration, and the expander checks built on it.
 
 Exhaustive enumeration is guaranteed for side sizes up to 24 with subset caps
 up to 12 (sum of C(24, s) for s <= 12 = 9,740,685 subsets worst case).  Larger
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .bigraph import BipartiteGraph, complete_bipartite
-from .spectra import SpectrumReport
 from .vsplit import vertex_split
 
 EXHAUSTIVE_SIDE_LIMIT = 24
@@ -92,10 +91,15 @@ def _min_ratio(reached: Iterable[tuple[tuple[int, ...], int]]) -> tuple[float, t
 
 
 def _gamma_cap(gamma: float, side_size: int) -> int:
-    """The subset cap floor(gamma * side size) of a finite gamma."""
+    """The subset cap floor(gamma * side size) of a finite gamma, at most the
+    side size.
+
+    gamma is clamped to [-1, 1] before the product, which cannot overflow
+    then; a cap below 1 is refused by the caller whatever its value.
+    """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    return math.floor(gamma * side_size)
+    return math.floor(min(max(gamma, -1.0), 1.0) * side_size)
 
 
 def vertex_expansion(
@@ -138,23 +142,6 @@ def vertex_expansion(
         exhaustive = False
     alpha, witness = _min_ratio(_reached(_neighbor_masks(g, side), subsets))
     return ExpansionReport(side, cap, alpha, witness, exhaustive)
-
-
-def spectral_expansion(spec: SpectrumReport, degree: int) -> tuple[float, float]:
-    """lambda = max(|lambda_2|, |lambda_n|) and its degree-normalized value.
-
-    On connected bipartite graphs lambda always equals lambda_1 (the spectrum
-    is symmetric about 0), which is why this quantity is reported but never
-    used as a split quality gate.
-    """
-    if spec.matrix_kind != "adjacency":
-        raise ValueError(f"spectral expansion needs an adjacency spectrum, got {spec.matrix_kind!r}")
-    if spec.order < 2:
-        raise ValueError("spectral expansion needs order >= 2")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    lam = max(abs(spec.eigenvalues[1]), abs(spec.eigenvalues[-1]))
-    return lam, lam / degree
 
 
 def ndc_expander_check(g: BipartiteGraph, c: float) -> tuple[bool, tuple[int, ...] | None]:
@@ -205,9 +192,9 @@ class LosslessParams:
 def lossless_parameters(g: BipartiteGraph, gamma: float) -> LosslessParams:
     """Best alpha over left subsets with |S| <= floor(gamma * n1), and epsilon.
 
-    Requires a left-regular graph (otherwise the degree D is undefined) and a
-    cap of at least one vertex.  epsilon = 1 - alpha/D, so alpha = D(1-epsilon)
-    by construction.
+    Requires a left-regular graph (otherwise the degree D is undefined) with
+    D >= 1, and a cap of at least one vertex.  epsilon = 1 - alpha/D, so
+    alpha = D(1-epsilon) by construction.
     """
     return _lossless_parameters(g, gamma, None)
 
@@ -226,10 +213,12 @@ def _lossless_parameters(
         report is not None
         and report.side == "left"
         and report.exhaustive
-        and report.subset_cap == min(_gamma_cap(gamma, g.n1), g.n1)
+        and report.subset_cap == _gamma_cap(gamma, g.n1)
     )
     if not reusable:
         report = vertex_expansion(g, "left", gamma=gamma, require_exhaustive=True)
+    if D == 0:
+        raise ValueError("left degree D is 0; epsilon = 1 - alpha/D is undefined")
     epsilon = 1.0 - report.alpha / D
     return LosslessParams(g.n1, g.n2, D, gamma, report.alpha, epsilon, report.exhaustive)
 
@@ -305,18 +294,3 @@ def corollary_r5_gamma(n: int, d_prime: int) -> float:
     if n < 1 or d_prime < 1:
         raise ValueError(f"n and d' must be >= 1, got ({n}, {d_prime})")
     return 1.0 / (n * n * d_prime)
-
-
-__all__ = [
-    "ExpansionReport",
-    "LosslessParams",
-    "SplitExpanderReport",
-    "vertex_expansion",
-    "spectral_expansion",
-    "ndc_expander_check",
-    "lossless_parameters",
-    "theorem_r4_report",
-    "corollary_r5_gamma",
-    "EXHAUSTIVE_SIDE_LIMIT",
-    "EXHAUSTIVE_CAP_LIMIT",
-]

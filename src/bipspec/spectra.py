@@ -42,7 +42,6 @@ JACOBI_MAX_SWEEPS = 100
 RESIDUAL_GATE = 1e-8
 REPORT_TOL = 1e-9
 
-MATRIX_KINDS = ("adjacency", "laplacian", "signless-laplacian", "lifted", "custom")
 QUOTIENT_FLAVORS = ("adjacency", "laplacian")
 
 
@@ -70,16 +69,9 @@ class SymmetricMatrix:
         return self.data.shape[0]
 
 
-def _biadjacency(g: BipartiteGraph) -> np.ndarray:
-    B = np.zeros((g.n1, g.n2))
-    for u, v in g.edges:
-        B[u, v] = 1.0
-    return B
-
-
 def adjacency_matrix(g: BipartiteGraph) -> SymmetricMatrix:
     """Block matrix [[0, B], [B^T, 0]] with left vertices indexed first."""
-    B = _biadjacency(g)
+    B = g.biadjacency()
     A = np.zeros((g.n, g.n))
     A[: g.n1, g.n1 :] = B
     A[g.n1 :, : g.n1] = B.T

@@ -39,7 +39,6 @@ class VertexSplitResult:
     split_graph: BipartiteGraph
     mapping: tuple[SplitMapping, ...]
     rule: str
-    seed: int
     warnings: tuple[str, ...]
 
 
@@ -104,7 +103,7 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
     }
     if not shared:
         warnings.append("N(Y_a) and N(Y_b) share no left vertex")
-    return VertexSplitResult(g, split_graph, tuple(mapping), rule, seed, tuple(warnings))
+    return VertexSplitResult(g, split_graph, tuple(mapping), rule, tuple(warnings))
 
 
 def split_sidecar(result: VertexSplitResult) -> dict:
@@ -201,15 +200,13 @@ def theorem_r1_check(
 
 
 def theorem_r2_check(
-    g: BipartiteGraph,
-    split: VertexSplitResult,
-    k: int,
-    measured: tuple[float, int] | None = None,
+    split: VertexSplitResult, k: int, measured: tuple[float, int] | None = None
 ) -> ConnectivityCriterionReport:
     """Biregular criterion: threshold n2*(2k-1)/sqrt(2*n1*n2) on lambda2'.
 
     measured is measure_split(split) when the caller already has it.
     """
+    g = split.original
     notes = []
     if not g.degree_profile().is_biregular:
         notes.append("original graph is not biregular")

@@ -203,6 +203,36 @@ def test_expansion_rejects_nonfinite_gamma(tmp_path, capsys, gamma):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_expansion_huge_gamma_caps_at_the_side_size(tmp_path, capsys):
+    graph = _write_graph(tmp_path, bigraph.complete_bipartite(4, 3))
+    out_json = tmp_path / "exp.json"
+    assert run(["expansion", "--graph", graph, "--gamma", "1e308", "--json", str(out_json)]) == 0
+    findings = json.loads(out_json.read_text(encoding="utf-8"))["findings"]
+    assert findings[0]["cap"] == 4 and findings[0]["exhaustive"]
+    assert findings[1]["type"] == "lossless" and findings[1]["alpha"] == 0.75
+    assert run(["expansion", "--graph", graph, "--side", "right", "--gamma", "1e308"]) == 0
+    assert run(["expansion", "--graph", graph, "--gamma=-1e308"]) == 2
+    assert "subset cap must be >= 1" in capsys.readouterr().err
+
+
+def test_expansion_gamma_on_edgeless_graph_is_an_input_error(tmp_path, capsys):
+    graph = tmp_path / "empty.bip"
+    graph.write_text("bip 3 3\n", encoding="utf-8")
+    assert run(["expansion", "--graph", str(graph), "--gamma", "0.5"]) == 2
+    assert "left degree D is 0" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
+    def broken(M):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(spectra, "symmetric_eigenvalues", broken)
+    graph = _write_graph(tmp_path, bigraph.path_graph(4))
+    assert run(["spectrum", "--graph", graph]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: solver bug" in err
+
+
 def test_code_pipeline_json(tmp_path):
     out_json = tmp_path / "code.json"
     assert run(["code", "--pipeline", "8", "--json", str(out_json)]) == 0

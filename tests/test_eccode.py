@@ -16,8 +16,6 @@ from bipspec.eccode import (
     codewords,
     construct_expander_code,
     distance_bounds,
-    gf2_nullspace,
-    gf2_rank,
     min_distance,
     parity_check_from_graph,
     read_alist,
@@ -71,10 +69,22 @@ def test_parity_check_orientation():
         assert code.H[j, i] == 1
 
 
+def test_linear_code_compares_and_hashes_by_H():
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    assert read_alist(write_alist(code)) == code
+    from_pchk = read_pchk(write_pchk(code))
+    assert from_pchk == code and hash(from_pchk) == hash(code)
+    other = code.H.copy()
+    other[0, 0] ^= 1
+    assert LinearCode.from_matrix(other) != code
+    assert LinearCode.from_matrix(np.zeros((1, 2))) != LinearCode.from_matrix(np.zeros((2, 1)))
+    assert len({code, from_pchk, LinearCode.from_matrix(other)}) == 2
+
+
 def test_gf2_rank_basics():
-    assert gf2_rank(np.eye(5, dtype=np.uint8)) == 5
-    assert gf2_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
-    assert gf2_rank(np.array([[1, 1], [1, 1]], dtype=np.uint8)) == 1
+    assert LinearCode.from_matrix(np.eye(5, dtype=np.uint8)).rank == 5
+    assert LinearCode.from_matrix(np.zeros((3, 4), dtype=np.uint8)).rank == 0
+    assert LinearCode.from_matrix(np.array([[1, 1], [1, 1]], dtype=np.uint8)).rank == 1
 
 
 def test_gf2_rank_vs_nullspace_count():
@@ -82,7 +92,7 @@ def test_gf2_rank_vs_nullspace_count():
     for _ in range(20):
         rows, cols = rng.randint(1, 6), rng.randint(1, 8)
         H = np.array([[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)], dtype=np.uint8)
-        rank = gf2_rank(H)
+        rank = LinearCode.from_matrix(H).rank
         assert _brute_codeword_count(H) == 2 ** (cols - rank)
 
 
@@ -91,10 +101,10 @@ def test_gf2_nullspace_spans_kernel():
     for _ in range(10):
         rows, cols = rng.randint(1, 5), rng.randint(2, 8)
         H = np.array([[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)], dtype=np.uint8)
-        basis = gf2_nullspace(H)
-        assert basis.shape[0] == cols - gf2_rank(H)
+        basis = LinearCode.from_matrix(H).basis
+        assert basis.shape[0] == cols - LinearCode.from_matrix(H).rank
         assert not (H @ basis.T % 2).any()
-        assert gf2_rank(basis) == basis.shape[0]  # basis rows are independent
+        assert LinearCode.from_matrix(basis).rank == basis.shape[0]  # basis rows are independent
 
 
 def test_min_distance_matches_brute_force():
@@ -421,8 +431,8 @@ def test_rref_rank_nullspace_match_int_elimination():
         assert _int_rows(M[: len(rows)]) == rows
         assert not M[len(rows):].any()
         assert M.shape == H.shape and M.dtype == np.uint8
-        assert gf2_rank(H) == len(pivots)
-        basis = gf2_nullspace(H)
+        assert LinearCode.from_matrix(H).rank == len(pivots)
+        basis = LinearCode.from_matrix(H).basis
         assert basis.shape == (H.shape[1] - len(pivots), H.shape[1])
         assert _int_rows(basis) == _int_nullspace(H)
 

@@ -11,11 +11,9 @@ from bipspec.expansion import (
     corollary_r5_gamma,
     lossless_parameters,
     ndc_expander_check,
-    spectral_expansion,
     theorem_r4_report,
     vertex_expansion,
 )
-from bipspec.spectra import adjacency_matrix, laplacian_matrix, symmetric_eigenvalues
 from bipspec.vsplit import vertex_split
 
 
@@ -148,37 +146,6 @@ def test_gamma_derived_cap():
         vertex_expansion(split, "left")
     with pytest.raises(ValueError, match=">= 1"):
         vertex_expansion(split, "left", gamma=0.01)
-
-
-def test_spectral_expansion_k55():
-    g = complete_bipartite(5, 5)
-    lam, normalized = spectral_expansion(symmetric_eigenvalues(adjacency_matrix(g)), 5)
-    assert lam == pytest.approx(5.0, abs=1e-8)
-    assert normalized == pytest.approx(1.0, abs=1e-8)
-
-
-def test_spectral_expansion_p4_and_k11():
-    lam, _ = spectral_expansion(symmetric_eigenvalues(adjacency_matrix(path_graph(4))), 2)
-    assert lam == pytest.approx(1.6180339887498949, abs=1e-8)
-    lam, normalized = spectral_expansion(symmetric_eigenvalues(adjacency_matrix(complete_bipartite(1, 1))), 1)
-    assert (lam, normalized) == (1.0, 1.0)
-
-
-def test_spectral_expansion_equals_lambda1_on_connected_bipartite():
-    # bipartite spectra are symmetric, so max(|l2|, |ln|) = |ln| = l1
-    for g in (path_graph(7), complete_bipartite(4, 6), vertex_split(complete_bipartite(8, 4)).split_graph):
-        spec = symmetric_eigenvalues(adjacency_matrix(g))
-        lam, _ = spectral_expansion(spec, 1)
-        assert lam == pytest.approx(spec.eigenvalues[0], abs=1e-8)
-
-
-def test_spectral_expansion_contract():
-    lap = symmetric_eigenvalues(laplacian_matrix(path_graph(4)))
-    with pytest.raises(ValueError, match="adjacency"):
-        spectral_expansion(lap, 2)
-    adj = symmetric_eigenvalues(adjacency_matrix(path_graph(4)))
-    with pytest.raises(ValueError, match="degree"):
-        spectral_expansion(adj, 0)
 
 
 def test_ndc_check_cases():

@@ -326,6 +326,33 @@ def test_interlacing_valid_form_on_random_graphs():
             assert rep.valid_form_holds, (flavor, sorted(g.edges))
 
 
+def test_interlacing_chain_fails_exactly_when_an_inner_bound_fails():
+    # the chain's inner inequalities are T1.iii and T1.iv (adjacency) and
+    # T5.ii (Laplacian), bounds with no preconditions, so a failed chain
+    # never changes a command's exit status on its own
+    rng = random.Random(20260201)  # the 200 graphs of acceptance criterion C2
+    graphs = [_random_connected(rng) for _ in range(200)]
+    graphs += [path_graph(n) for n in range(2, 41)]
+    graphs += [
+        random_tree(n, mode, seed)
+        for n in range(4, 30, 3)
+        for mode in ("balanced", "unbalanced")
+        for seed in range(3)
+    ]
+    chain_failures = 0
+    for g in graphs:
+        adj = symmetric_eigenvalues(adjacency_matrix(g))
+        lap = symmetric_eigenvalues(laplacian_matrix(g))
+        reports = {r.bound_id: r for r in bound_suite(g, adj, lap)}
+        assert all(reports[b].preconditions_met for b in ("T1.iii", "T1.iv", "T5.ii"))
+        adj_chain = interlacing_check(adj, bipartite_quotient(g, "adjacency")).claimed_chain_holds
+        lap_chain = interlacing_check(lap, bipartite_quotient(g, "laplacian")).claimed_chain_holds
+        assert adj_chain == (reports["T1.iii"].holds and reports["T1.iv"].holds), sorted(g.edges)
+        assert lap_chain == reports["T5.ii"].holds, sorted(g.edges)
+        chain_failures += not (adj_chain and lap_chain)
+    assert chain_failures > 50
+
+
 # --- bipartite symmetry and L vs Q ---
 
 

@@ -155,20 +155,20 @@ def test_theorem_r1_preconditions():
 def test_theorem_r2_thresholds():
     g = complete_bipartite(8, 4)
     split = vertex_split(g)
-    report = theorem_r2_check(g, split, k=2)
+    report = theorem_r2_check(split, k=2)
     assert report.threshold == pytest.approx(4 * 3 / math.sqrt(64), abs=1e-12)
     assert report.threshold == 1.5
     assert report.preconditions_met
 
     g55 = complete_bipartite(5, 5)
-    r2 = theorem_r2_check(g55, vertex_split(g55), k=2)
+    r2 = theorem_r2_check(vertex_split(g55), k=2)
     assert r2.threshold == pytest.approx((2 * 2 - 1) / math.sqrt(2), abs=1e-12)
 
 
 def test_theorem_r2_non_biregular():
     tree = random_tree(9, "balanced", 4)
     split = vertex_split(tree)
-    report = theorem_r2_check(tree, split, k=2)
+    report = theorem_r2_check(split, k=2)
     assert not report.preconditions_met
     assert "biregular" in report.notes
     assert report.measured_kappa == edge_connectivity(split.split_graph)
