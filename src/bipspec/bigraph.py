@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest side `read_edge_list` accepts: a header beyond it is refused before
+# anything is allocated.  Every command builds per-vertex lists and dense
+# matrices, so sides in the hundreds are desk scale and 10**5 is a wide margin.
+MAX_SIDE = 10**5
 
 
 @dataclass(frozen=True)
@@ -268,22 +274,48 @@ def write_edge_list(g: BipartiteGraph) -> str:
 
 
 def read_edge_list(text: str) -> BipartiteGraph:
-    """Parse the `bip` edge-list format; `#` comment lines are ignored."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 3 or parts[0] != "bip":
-                raise ValueError(f"line {lineno}: expected header 'bip <n1> <n2>'")
-            header = (int(parts[1]), int(parts[2]))
-        else:
+    """Parse the `bip` edge-list format; `#` comment lines are ignored.
+
+    Malformed text raises ValueError starting with `line N:`, counting every
+    line of the text from 1.  `build` consumes the edges as they are read, so
+    its errors name the line too.  A side above MAX_SIDE is refused at the
+    header, before anything is allocated.
+    """
+    lines = enumerate(text.splitlines(), start=1)
+    at = 0  # the line being read
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal at
+        for at, raw in lines:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) != 3 or parts[0] != "e":
-                raise ValueError(f"line {lineno}: expected edge line 'e <left> <right>'")
-            edges.append((int(parts[1]), int(parts[2])))
-    if header is None:
-        raise ValueError("missing 'bip <n1> <n2>' header")
-    return build(header[0], header[1], edges)
+                raise ValueError("expected edge line 'e <left> <right>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(
+                    f"expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
+                ) from None
+            yield u, v
+
+    try:
+        for at, raw in lines:
+            header = raw.split()
+            if header and not header[0].startswith("#"):
+                break
+        else:
+            at += 1
+            raise ValueError("missing 'bip <n1> <n2>' header")
+        if len(header) != 3 or header[0] != "bip":
+            raise ValueError("expected header 'bip <n1> <n2>'")
+        try:
+            n1, n2 = int(header[1]), int(header[2])
+        except ValueError:
+            raise ValueError(f"expected integer sides, got {header[1]!r} {header[2]!r}") from None
+        if max(n1, n2) > MAX_SIDE:
+            raise ValueError(f"side sizes ({n1}, {n2}) exceed the limit {MAX_SIDE}")
+        return build(n1, n2, edges())
+    except ValueError as exc:
+        raise ValueError(f"line {at}: {exc}") from None

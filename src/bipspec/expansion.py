@@ -1,14 +1,20 @@
-"""Vertex expansion by subset enumeration, and the expander checks built on it.
+"""Vertex expansion by exact subset search, and the expander checks built on it.
 
-Exhaustive enumeration is guaranteed for side sizes up to 24 with subset caps
+Exact measurement is guaranteed for side sizes up to 24 with subset caps
 up to 12 (sum of C(24, s) for s <= 12 = 9,740,685 subsets worst case).  Larger
 requests degrade to seeded random sampling with exhaustive = False, or refuse
 outright when the caller needs exact answers.
 
-Every measurement runs on one kernel: neighborhoods are int bitmasks, |N(S)|
-is the bit count of the OR of the members' masks, one gate enumerates the
-subsets in (size, lexicographic) order, and one reduction keeps the first
-strict minimum of |N(S)|/|S| as the witness.
+Neighborhoods are int bitmasks and |N(S)| is the bit count of the OR of the
+members' masks.  One gate decides whether a request is exact.  Every exact
+minimum-ratio measurement (`vertex_expansion`, `lossless_parameters`,
+`theorem_r4_report`) runs one depth-first branch-and-bound search: it visits
+subsets in lexicographic order, ORs each prefix's mask once, compares
+candidates in exact integers by the key (|N(S)|/|S|, |S|, S), so the witness
+is the first strict minimum in (size, lexicographic) order, and cuts a branch
+whose prefix P has |N(P)|/cap no smaller than the best ratio.
+`ndc_expander_check`, whose violations are not monotone along a branch, and
+the sampled path enumerate their subsets plainly.
 """
 
 from __future__ import annotations
@@ -52,18 +58,22 @@ def _neighbor_masks(g: BipartiteGraph, side: str) -> list[int]:
     return [sum(1 << w for w in nb) for nb in neighbors]
 
 
-def _subsets(side_size: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
-    """Every subset of range(side_size) with low <= |S| <= high, in (size, lex) order.
-
-    The one feasibility gate: a side above EXHAUSTIVE_SIDE_LIMIT or a size
-    above EXHAUSTIVE_CAP_LIMIT is refused with the subset count.
-    """
+def _gate(side_size: int, low: int, high: int) -> None:
+    """The one feasibility gate of exact measurements: a side above
+    EXHAUSTIVE_SIDE_LIMIT or a size above EXHAUSTIVE_CAP_LIMIT is refused
+    with the subset count."""
     if side_size > EXHAUSTIVE_SIDE_LIMIT or high > EXHAUSTIVE_CAP_LIMIT:
         count = sum(math.comb(side_size, s) for s in range(low, high + 1))
         raise ValueError(
             f"exhaustive enumeration infeasible: {count} subsets for side size {side_size}, "
             f"cap {high} (limits: side {EXHAUSTIVE_SIDE_LIMIT}, cap {EXHAUSTIVE_CAP_LIMIT})"
         )
+
+
+def _subsets(side_size: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
+    """Every subset of range(side_size) with low <= |S| <= high, in (size, lex)
+    order, behind the feasibility gate."""
+    _gate(side_size, low, high)
     return chain.from_iterable(combinations(range(side_size), s) for s in range(low, high + 1))
 
 
@@ -78,16 +88,40 @@ def _reached(
         yield subset, reached.bit_count()
 
 
-def _min_ratio(reached: Iterable[tuple[tuple[int, ...], int]]) -> tuple[float, tuple[int, ...]]:
-    """min |N(S)|/|S| and the first subset attaining it strictly."""
-    best_ratio = math.inf
-    best_subset: tuple[int, ...] = ()
-    for subset, count in reached:
-        ratio = count / len(subset)
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_subset = subset
-    return best_ratio, best_subset
+def _search(masks: list[int], low: int, high: int) -> tuple[float, tuple[int, ...]]:
+    """min |N(S)|/|S| over low <= |S| <= high and its witness, by branch and bound.
+
+    A depth-first search visits the subsets in lexicographic order, OR-ing
+    each prefix's mask once.  Candidates compare in exact integers by the key
+    (|N(S)|/|S|, |S|, S), so the witness is the first strict minimum in
+    (size, lex) order.  The search descends from a prefix P only while
+    |N(P)|/high < best ratio: an extension T has |N(T)|/|T| >= |N(P)|/high,
+    equal only at |T| = high, where T loses the tie to the best found so far,
+    which is lex-smaller and no larger.  Callers pass the feasibility gate
+    first.
+    """
+    side_size = len(masks)
+    best_count, best_size, best = 1, 0, ()  # 1/0 stands for an infinite ratio
+    path: list[int] = []
+
+    def descend(reached: int, start: int) -> None:
+        nonlocal best_count, best_size, best
+        size = len(path) + 1
+        # leave room for the low - size members still needed after v
+        for v in range(start, side_size - max(low - size, 0)):
+            union = reached | masks[v]
+            count = union.bit_count()
+            if size >= low:
+                lhs, rhs = count * best_size, best_count * size
+                if lhs < rhs or lhs == rhs and size < best_size:
+                    best_count, best_size, best = count, size, (*path, v)
+            if size < high and count * best_size < best_count * high:
+                path.append(v)
+                descend(union, v + 1)
+                path.pop()
+
+    descend(0, 0)
+    return (best_count / best_size if best_size else math.inf), best
 
 
 def _gamma_cap(gamma: float, side_size: int) -> int:
@@ -130,18 +164,24 @@ def vertex_expansion(
     if cap < 1:
         raise ValueError(f"subset cap must be >= 1, got {cap}")
     cap = min(cap, side_size)
+    masks = _neighbor_masks(g, side)
     try:
-        subsets, exhaustive = _subsets(side_size, 1, cap), True
-    except ValueError:  # the gate refused: sample unless exactness is required
+        _gate(side_size, 1, cap)
+    except ValueError:  # sample unless exactness is required
         if require_exhaustive:
             raise
-        rng = random.Random(seed)
-        subsets = (
-            tuple(sorted(rng.sample(range(side_size), rng.randint(1, cap)))) for _ in range(samples)
-        )
-        exhaustive = False
-    alpha, witness = _min_ratio(_reached(_neighbor_masks(g, side), subsets))
-    return ExpansionReport(side, cap, alpha, witness, exhaustive)
+    else:
+        return ExpansionReport(side, cap, *_search(masks, 1, cap), True)
+    rng = random.Random(seed)
+    subsets = (
+        tuple(sorted(rng.sample(range(side_size), rng.randint(1, cap)))) for _ in range(samples)
+    )
+    alpha, witness = math.inf, ()
+    for subset, count in _reached(masks, subsets):
+        ratio = count / len(subset)
+        if ratio < alpha:
+            alpha, witness = ratio, subset
+    return ExpansionReport(side, cap, alpha, witness, False)
 
 
 def ndc_expander_check(g: BipartiteGraph, c: float) -> tuple[bool, tuple[int, ...] | None]:
@@ -203,8 +243,8 @@ def _lossless_parameters(
     g: BipartiteGraph, gamma: float, report: ExpansionReport | None
 ) -> LosslessParams:
     """lossless_parameters, reusing `report` when it is an exhaustive
-    left-side report at the cap gamma gives, so the subsets are enumerated
-    once; any other report is ignored and the enumeration runs."""
+    left-side report at the cap gamma gives, so the subsets are searched
+    once; any other report is ignored and the search runs."""
     profile = g.degree_profile()
     if not profile.is_left_regular:
         raise ValueError("graph is not left-regular; left degree D is undefined")
@@ -265,10 +305,9 @@ def theorem_r4_report(m: int, n: int, rule: str = "round-robin", seed: int = 0) 
     if not n <= m <= 2 * n:
         raise ValueError(f"requires n <= m <= 2n, got (m, n) = ({m}, {n})")
     size = n // 2
-    subsets = _subsets(m, size, size)
+    _gate(m, size, size)
     split = vertex_split(complete_bipartite(m, n), rule, seed)
-    masks = _neighbor_masks(split.split_graph, "left")
-    best_ratio, best_subset = _min_ratio(_reached(masks, subsets))
+    best_ratio, best_subset = _search(_neighbor_masks(split.split_graph, "left"), size, size)
     if m == n:
         case, formula = 1, 1 + 2 / n
     elif m == 2 * n:

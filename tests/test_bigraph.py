@@ -207,3 +207,29 @@ def test_edge_list_comments_and_errors():
         read_edge_list("e 0 0\n")
     with pytest.raises(ValueError, match="edge line"):
         read_edge_list("bip 2 2\nx 0 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, line, detail",
+    [
+        ("bip x 2", 1, "expected integer sides, got 'x' '2'"),
+        ("bip 2 2\ne 0 y", 2, "expected integer endpoints, got '0' 'y'"),
+        ("# c\nbip 0 2\n", 2, r"both sides must be nonempty, got sizes \(0, 2\)"),
+        ("bip 2 2\ne 0 0\ne 0 5\n", 3, r"edge \(0, 5\) out of range for sides \(2, 2\)"),
+        ("bip 2 2\ne -1 0\n", 2, r"edge \(-1, 0\) out of range"),
+        ("bip 2 2\ne 1 1\n\ne 1 1\n", 4, r"duplicate edge \(1, 1\)"),
+        ("", 1, "missing 'bip <n1> <n2>' header"),
+        ("# only a comment\n", 2, "missing 'bip <n1> <n2>' header"),
+    ],
+)
+def test_edge_list_errors_name_the_line(text, line, detail):
+    with pytest.raises(ValueError, match=rf"^line {line}: {detail}"):
+        read_edge_list(text)
+
+
+def test_edge_list_side_cap_at_the_header():
+    limit = bigraph.MAX_SIDE
+    assert read_edge_list(f"bip {limit} 1\ne {limit - 1} 0\n").n1 == limit
+    for header in (f"bip {limit + 1} 1", "bip 1 99999999999"):
+        with pytest.raises(ValueError, match=rf"^line 2: side sizes .* exceed the limit {limit}"):
+            read_edge_list(f"# big\n{header}\ne 0 0\n")

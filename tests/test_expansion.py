@@ -5,6 +5,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipspec.bigraph import build, complete_bipartite, path_graph
 from bipspec.expansion import (
@@ -14,7 +16,7 @@ from bipspec.expansion import (
     theorem_r4_report,
     vertex_expansion,
 )
-from bipspec.vsplit import vertex_split
+from bipspec.vsplit import SPLIT_RULES, vertex_split
 
 
 def _alpha_reversed_order(g, side: str, cap: int) -> float:
@@ -244,3 +246,72 @@ def test_corollary_r5_gamma_values():
     assert corollary_r5_gamma(10, 5) == pytest.approx(0.002, abs=1e-15)
     with pytest.raises(ValueError):
         corollary_r5_gamma(0, 3)
+
+
+def _both_sides_match_brute(g, caps=None) -> None:
+    for side, side_size in (("left", g.n1), ("right", g.n2)):
+        for cap in caps or range(1, side_size + 1):
+            report = vertex_expansion(g, side, cap)
+            assert report.exhaustive
+            assert (report.alpha, report.witness) == _brute_expansion(g, side, cap), (side, cap)
+
+
+@pytest.mark.parametrize("rule", SPLIT_RULES)
+def test_search_matches_enumeration_on_k_m_half_splits(rule):
+    # side 16, cap 8: the largest subsets reach all 16 right vertices at most
+    split = vertex_split(complete_bipartite(16, 8), rule, 1).split_graph
+    assert split.n1 == split.n2 == 16
+    _both_sides_match_brute(split, caps=(1, 5, 8))
+
+
+def test_search_isolated_vertex_and_complete_graph():
+    g = build(5, 3, [(u, v) for u in range(5) for v in range(3) if u != 3])
+    _both_sides_match_brute(g)
+    report = vertex_expansion(g, "left", 4)
+    assert (report.alpha, report.witness) == (0.0, (3,))
+    k = complete_bipartite(6, 4)
+    _both_sides_match_brute(k)
+    assert vertex_expansion(k, "left", 4).witness == (0, 1, 2, 3)
+
+
+def test_search_tie_at_smaller_size_wins():
+    # (0, 1) reaches 2 checks and is visited before (2,), which reaches 1:
+    # both have ratio 1, and the smaller subset is the witness
+    g = build(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    _both_sides_match_brute(g)
+    report = vertex_expansion(g, "left", 3)
+    assert (report.alpha, report.witness) == (1.0, (2,))
+
+
+@st.composite
+def _small_graphs(draw):
+    n1, n2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n1) for v in range(n2)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build(n1, n2, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_graphs())
+def test_search_matches_enumeration_property(g):
+    _both_sides_match_brute(g)
+
+
+def _brute_at_size(g, size: int) -> tuple[float, tuple[int, ...]]:
+    """First strict minimum of |N(S)|/|S| over left subsets of one size, in lex order."""
+    neighbors = [set(nb) for nb in g.left_neighbors()]
+    best: tuple[float, tuple[int, ...]] = (math.inf, ())
+    for subset in combinations(range(g.n1), size):
+        ratio = len(set().union(*(neighbors[v] for v in subset))) / size
+        if ratio < best[0]:
+            best = (ratio, subset)
+    return best
+
+
+@pytest.mark.parametrize("rule", SPLIT_RULES)
+def test_theorem_r4_matches_fixed_size_brute_force(rule):
+    for n in range(2, 11, 2):
+        for m in range(n, 2 * n + 1):
+            rep = theorem_r4_report(m, n, rule)
+            split = vertex_split(complete_bipartite(m, n), rule, 0).split_graph
+            assert (rep.measured_alpha, rep.witness) == _brute_at_size(split, n // 2), (m, n)
