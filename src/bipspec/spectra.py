@@ -2,24 +2,28 @@
 
 One eigen-kernel serves every spectrum: one-sided (Hestenes) Jacobi, which
 rotates pairs of columns of a matrix G until they are orthogonal, W = G V.
-The column pairs are visited in the round-robin parallel ordering of Brent
-and Luk (1985), and the disjoint rotations of each step are applied as one
-array update; a pair is left alone once |w_p . w_q| <= sqrt(rows) eps
-||w_p|| ||w_q|| or <= (eps ||G||_F)^2, and sweeps stop when none rotates (at
-most 100).  Demmel and Veselic (1992) analyse the accuracy of the method.
+Only W is kept: V is never formed, and the eigenvectors are recovered from
+W after convergence (Drmac and Veselic 2008).  The column pairs are visited
+in the round-robin parallel ordering of Brent and Luk (1985); each step's
+disjoint rotations are applied as one gather and one scatter of rows of
+W^T.  A pair is left alone once |w_p . w_q| <= sqrt(rows) eps ||w_p||
+||w_q|| or <= (eps ||G||_F)^2, and sweeps stop when none rotates (at most
+100).  Demmel and Veselic (1992) analyse the accuracy of the method.
 symmetric_eigenvalues picks the matrix G from M's data:
 
 - If some split point leaves both diagonal blocks of M zero (every
   adjacency matrix of a bipartite graph), G is the off-diagonal block B,
   transposed so the shorter side gives the columns.  The spectrum is
-  +-sigma_j(B) plus |n1 - n2| zeros.
+  +-sigma_j(B) plus |n1 - n2| zeros, with eigenvectors (u_j, +-v_j)/sqrt(2)
+  for u_j = w_j/sigma_j and v_j = G^T u_j/sigma_j.
 - Otherwise G is M shifted by its Gershgorin lower bound, which is positive
-  semidefinite, so its singular values are its eigenvalues (the shift is 0
-  for Laplacians).
+  semidefinite, so its singular values are its eigenvalues and w_j/sigma_j
+  its eigenvectors (the shift is 0 for Laplacians).
 
 Every returned spectrum carries a residual certified against the full
-matrix, at most 1e-8 relative to max(1, ||M||_F): eigenpair residuals, and
-on the bipartite route a collective bound for the zero eigenvalues.  No
+matrix, at most 1e-8 relative to max(1, ||M||_F), by one certificate on
+both routes: eigenpair residuals for the eigenvectors recovered from W, and
+a collective bound for the eigenvalues too small to recover them.  No
 LAPACK-style solver is used on this path.
 
 Quotient matrices of the bipartition are 2x2 with closed-form eigenvalues;
@@ -31,6 +35,7 @@ flagged, because the point of the reports is observation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,12 +62,15 @@ class SymmetricMatrix:
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        d = self.data
+        # a private read-only copy: the caller's array stays writeable, and
+        # writing to it later cannot change this matrix
+        d = np.array(self.data)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {d.shape}")
         if not np.array_equal(d, d.T):
             raise ValueError("matrix is not exactly symmetric")
         d.setflags(write=False)
+        object.__setattr__(self, "data", d)
 
     @property
     def order(self) -> int:
@@ -94,8 +102,9 @@ def signless_laplacian_matrix(g: BipartiteGraph) -> SymmetricMatrix:
 class SpectrumReport:
     """Full real spectrum, descending, with solver diagnostics.
 
-    residual is the max over eigenpairs of ||M v - lambda v|| / max(1, ||M||_F)
-    and is certified to be at most 1e-8.
+    residual bounds, relative to max(1, ||M||_F), the eigenpair residuals
+    ||M v - lambda v|| and the collective term of the eigenvalues certified
+    without an eigenvector; it is certified to be at most 1e-8.
     """
 
     eigenvalues: tuple[float, ...]
@@ -115,13 +124,16 @@ class SpectrumReport:
         }
 
 
-def _round_robin(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=64)
+def _round_robin(k: int) -> tuple[tuple[np.ndarray, int], ...]:
     """Brent-Luk round-robin ordering of the column pairs of k columns.
 
-    Each step is a set of disjoint pairs (p[i], q[i]); the k' - 1 steps of a
-    sweep (k' = k rounded up to even) meet every pair exactly once.  Player 0
-    stays put and the others rotate one place per step; with k odd, the
-    player paired with the phantom k sits the step out.
+    Each step is a set of h disjoint pairs (pq[i], pq[h + i]); the k' - 1
+    steps of a sweep (k' = k rounded up to even) meet every pair exactly
+    once.  Player 0 stays put and the others rotate one place per step; with
+    k odd, the player paired with the phantom k sits the step out.  The
+    arrays are shared between calls, so they are read-only; an ordering
+    takes about 8 k^2 bytes, so only the 64 most recent sizes are kept.
     """
     players = np.arange(k + k % 2)
     half = len(players) // 2
@@ -129,50 +141,53 @@ def _round_robin(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     for _ in range(len(players) - 1):
         p, q = players[:half], players[::-1][:half]
         real = (p < k) & (q < k)
-        steps.append((p[real], q[real]))
+        pq = np.concatenate((p[real], q[real]))
+        pq.setflags(write=False)
+        steps.append((pq, len(pq) // 2))
         players = np.concatenate((players[:1], players[-1:], players[1:-1]))
-    return steps
+    return tuple(steps)
 
 
-def _one_sided_jacobi(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _one_sided_jacobi(G: np.ndarray) -> tuple[np.ndarray, int]:
     """Orthogonalize the columns of G by Hestenes rotations: W = G V.
 
-    Returns W^T, V^T (row j holds w_j and v_j) and the sweep count.  A pair
-    is rotated while |w_p . w_q| exceeds both sqrt(m) eps ||w_p|| ||w_q||
-    (m rows) and the absolute floor (eps ||G||_F)^2; the floor stops the
-    sweeps on rank-deficient G, whose null columns never become relatively
-    orthogonal.  Each step's disjoint rotations are applied as one update to
-    the stacked rows [w_j | v_j].
+    Returns W^T (row j holds w_j) and the sweep count; V is never formed.
+    A pair is rotated while |w_p . w_q| exceeds both sqrt(m) eps ||w_p||
+    ||w_q|| (m rows) and the absolute floor (eps ||G||_F)^2; the floor stops
+    the sweeps on rank-deficient G, whose null columns never become
+    relatively orthogonal.  Each step gathers its rows once, takes the
+    squared norms of both halves from one product and the cross products
+    from another, and writes both rotated halves back in one scatter.
     """
     m, k = G.shape
-    Y = np.hstack((G.T, np.eye(k)))
+    Y = G.T.copy()
     eps = np.finfo(float).eps
     tol = math.sqrt(m) * eps
     floor = (eps * float(np.linalg.norm(G, "fro"))) ** 2
     steps = _round_robin(k)
     for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
         rotated = False
-        for p, q in steps:
-            Yp, Yq = Y[p], Y[q]
-            Wp, Wq = Yp[:, :m], Yq[:, :m]
-            a = np.einsum("ij,ij->i", Wp, Wp)
-            b = np.einsum("ij,ij->i", Wq, Wq)
-            c = np.einsum("ij,ij->i", Wp, Wq)
+        for pq, h in steps:
+            Z = Y[pq]
+            norms = np.einsum("ij,ij->i", Z, Z)
+            Zp, Zq, a, b = Z[:h], Z[h:], norms[:h], norms[h:]
+            c = np.einsum("ij,ij->i", Zp, Zq)
             rot = np.abs(c) > np.maximum(tol * np.sqrt(a * b), floor)
-            if not rot.any():
+            count = np.count_nonzero(rot)
+            if count == 0:
                 continue
-            if not rot.all():
-                p, q, Yp, Yq, a, b, c = p[rot], q[rot], Yp[rot], Yq[rot], a[rot], b[rot], c[rot]
+            if count < h:
+                pq = pq[np.concatenate((rot, rot))]
+                Zp, Zq, a, b, c = Zp[rot], Zq[rot], a[rot], b[rot], c[rot]
             rotated = True
             zeta = (b - a) / (2.0 * c)
             t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
             cs = 1.0 / np.sqrt(1.0 + t * t)
             sn = (cs * t)[:, None]
             cs = cs[:, None]
-            Y[p] = cs * Yp - sn * Yq
-            Y[q] = sn * Yp + cs * Yq
+            Y[pq] = np.concatenate((cs * Zp - sn * Zq, sn * Zp + cs * Zq))
         if not rotated:
-            return Y[:, :m], Y[:, m:], sweep
+            return Y, sweep
     raise ConvergenceError(f"one-sided Jacobi still rotating after {JACOBI_MAX_SWEEPS} sweeps")
 
 
@@ -186,25 +201,39 @@ def _bipartite_split(A: np.ndarray) -> int | None:
     return None
 
 
+def _certificate(M: np.ndarray, X: np.ndarray, vals: np.ndarray, rest: float) -> float:
+    """Residual certified for a spectrum of the symmetric matrix M.
+
+    The columns of X are eigenvector approximations with eigenvalues vals;
+    each pair is certified by ||M x_j - vals_j x_j||.  Every other claimed
+    eigenvalue, at most rest in absolute value, is certified collectively by
+    ||M (I - X X^T)||_F + rest over the complement of X.
+    """
+    MX = M @ X
+    pairs = np.linalg.norm(MX - X * vals[None, :], axis=0)
+    others = float(np.linalg.norm(M - MX @ X.T, "fro")) + rest
+    return max(float(pairs.max(initial=0.0)), others)
+
+
 def _bipartite_spectrum(A: np.ndarray, p: int) -> tuple[np.ndarray, float, int]:
     """Spectrum of [[0, B], [B^T, 0]] from the singular values of B.
 
     Returns the descending eigenvalues, the certified residual and the
-    sweep count.  B is transposed so its shorter side gives the columns;
-    the eigenvalues are +-sigma_j plus |n1 - n2| zeros.  Each pair with
-    sigma_j above sqrt(eps) ||B||_F is certified through its eigenvectors
-    (u_j, +-v_j)/sqrt(2); the remaining (near-)zero eigenvalues are
-    certified collectively by ||A (I - X X^T)||_F over the complement of the
-    certified eigenvectors X, plus the largest of their |sigma_j|.
+    sweep count.  B is transposed so its shorter side gives the columns of
+    G; the eigenvalues are +-sigma_j plus |n1 - n2| zeros.  Each of the r
+    pairs with sigma_j above sqrt(eps) ||G||_F is certified through its
+    eigenvectors (u_j, +-v_j)/sqrt(2), where u_j = w_j/sigma_j and
+    v_j = G^T u_j/sigma_j; the remaining (near-)zero eigenvalues are
+    certified collectively (see _certificate).
     """
     n = A.shape[0]
     B = A[:p, p:]
     transposed = B.shape[1] > B.shape[0]
     G = B.T if transposed else B
-    Wt, Vt, sweeps = _one_sided_jacobi(G)
+    Wt, sweeps = _one_sided_jacobi(G)
     sigma = np.linalg.norm(Wt, axis=1)
     order = np.argsort(-sigma, kind="stable")
-    sigma, Wt, Vt = sigma[order], Wt[order], Vt[order]
+    sigma, Wt = sigma[order], Wt[order]
     k = len(sigma)
     # + 0.0 turns the -0.0 of an exact zero singular value into 0.0
     vals = np.concatenate((sigma, np.zeros(n - 2 * k), -sigma[::-1])) + 0.0
@@ -212,35 +241,44 @@ def _bipartite_spectrum(A: np.ndarray, p: int) -> tuple[np.ndarray, float, int]:
     big = sigma > math.sqrt(np.finfo(float).eps) * float(np.linalg.norm(G, "fro"))
     r = int(big.sum())
     U = Wt[:r] / sigma[:r, None]
-    left, right = (Vt[:r], U) if transposed else (U, Vt[:r])
+    V = (U @ G) / sigma[:r, None]
+    left, right = (V, U) if transposed else (U, V)
     X = np.zeros((n, 2 * r))
     X[:p, :r] = X[:p, r:] = left.T
     X[p:, :r] = right.T
     X[p:, r:] = -right.T
     X /= math.sqrt(2.0)
     pair_vals = np.concatenate((sigma[:r], -sigma[:r]))
-    AX = A @ X
-    pairs = np.linalg.norm(AX - X * pair_vals[None, :], axis=0)
-    zeros = float(np.linalg.norm(A - AX @ X.T, "fro")) + float(sigma[r:].max(initial=0.0))
-    return vals, max(float(pairs.max(initial=0.0)), zeros), sweeps
+    return vals, _certificate(A, X, pair_vals, float(sigma[r:].max(initial=0.0))), sweeps
 
 
 def _shifted_spectrum(A: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Spectrum of a general symmetric A, made PSD by a Gershgorin shift.
 
-    A - s I with s the Gershgorin lower bound is positive semidefinite, so
-    its singular values are its eigenvalues and the rotation matrix V holds
-    the eigenvectors.  Returns the descending eigenvalues, the residual of
-    every eigenpair against A and the sweep count.
+    G = A - s I with s the Gershgorin lower bound is positive semidefinite,
+    so its singular values sigma_j are its eigenvalues, w_j/sigma_j its
+    eigenvectors, and the eigenvalues of A are sigma_j + s.  Returns the
+    descending eigenvalues, the certified residual and the sweep count.
+    Each sigma_j above eps^(2/3) ||G||_F is certified through w_j/sigma_j,
+    the rest collectively (see _certificate).  The collective term costs
+    about twice the largest sigma_j it covers, so the split must sit well
+    under the 1e-8 gate, which the bipartite route's sqrt(eps) ~ 1.5e-8 does
+    not; w_j/sigma_j stays accurate far below it.  The rotation floor keeps
+    the certified vectors orthogonal to (eps ||G||_F / split)^2 = eps^(2/3).
     """
     diag = np.diag(A)
     shift = float(np.min(diag - (np.abs(A).sum(axis=1) - np.abs(diag))))
-    Wt, Vt, sweeps = _one_sided_jacobi(A - shift * np.eye(A.shape[0]))
-    vals = np.linalg.norm(Wt, axis=1) + shift
-    order = np.argsort(-vals, kind="stable")
-    vals, V = vals[order], Vt[order].T
-    residuals = np.linalg.norm(A @ V - V * vals[None, :], axis=0)
-    return vals, float(residuals.max()), sweeps
+    G = A - shift * np.eye(A.shape[0])
+    Wt, sweeps = _one_sided_jacobi(G)
+    sigma = np.linalg.norm(Wt, axis=1)
+    order = np.argsort(-sigma, kind="stable")
+    sigma, Wt = sigma[order], Wt[order]
+
+    big = sigma > np.finfo(float).eps ** (2 / 3) * float(np.linalg.norm(G, "fro"))
+    r = int(big.sum())
+    X = (Wt[:r] / sigma[:r, None]).T
+    residual = _certificate(G, X, sigma[:r], float(sigma[r:].max(initial=0.0)))
+    return sigma + shift, residual, sweeps
 
 
 def symmetric_eigenvalues(M: SymmetricMatrix) -> SpectrumReport:

@@ -93,6 +93,18 @@ def test_bounds_golden_json(tmp_path):
     assert produced == golden
 
 
+@pytest.mark.parametrize("name", ["tree30", "dense22"])
+def test_bounds_and_split_golden_bytes(tmp_path, monkeypatch, name):
+    # a 30-vertex tree and a 22-vertex dense graph: large enough that the
+    # order of the Jacobi rotations reaches every reported eigenvalue
+    (tmp_path / f"{name}.bip").write_bytes((GOLDEN / f"{name}.bip").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    run(["bounds", "--graph", f"{name}.bip", "--json", "bounds.json"])
+    run(["split", "--graph", f"{name}.bip", "--k", "2", "--json", "split.json"])
+    assert (tmp_path / "bounds.json").read_bytes() == (GOLDEN / f"bounds_{name}.json").read_bytes()
+    assert (tmp_path / "split.json").read_bytes() == (GOLDEN / f"split_k2_{name}.json").read_bytes()
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of fn through every bipspec binding of it."""
     calls = []

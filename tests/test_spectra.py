@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from bipspec import spectra
 from bipspec.bigraph import build, complete_bipartite, path_graph, random_tree
 from bipspec.spectra import (
     BoundReport,
@@ -67,6 +68,19 @@ def test_adjacency_block_structure():
 def test_symmetric_matrix_rejects_asymmetry():
     with pytest.raises(ValueError, match="symmetric"):
         SymmetricMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_symmetric_matrix_keeps_a_private_copy():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    M = SymmetricMatrix(a)
+    assert a.flags.writeable
+    assert not M.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        M.data[0, 0] = 5.0
+    a[0, 0] = 5.0
+    assert M.data.tolist() == [[2.0, 1.0], [1.0, 3.0]]
+    root = math.sqrt(5.0)
+    assert symmetric_eigenvalues(M).eigenvalues == pytest.approx(((5 + root) / 2, (5 - root) / 2))
 
 
 # --- eigensolver ---
@@ -191,6 +205,184 @@ def test_solver_matches_lapack_at_n120():
     g = build(g.n1, g.n2, edges)
     _assert_matches_lapack(adjacency_matrix(g))
     _assert_matches_lapack(laplacian_matrix(g))
+
+
+# ------------------------------------------------------------------ oracles
+#
+# The one-sided Jacobi kernel as it was before it stopped accumulating V:
+# the rotations of each step were applied to the stacked rows [w_j | v_j].
+# The W half of that update is the arithmetic the kernel still performs, so
+# every singular value, eigenvalue and sweep count must come out equal.
+
+
+def _oracle_round_robin(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    players = np.arange(k + k % 2)
+    half = len(players) // 2
+    steps = []
+    for _ in range(len(players) - 1):
+        p, q = players[:half], players[::-1][:half]
+        real = (p < k) & (q < k)
+        steps.append((p[real], q[real]))
+        players = np.concatenate((players[:1], players[-1:], players[1:-1]))
+    return steps
+
+
+def _oracle_jacobi(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Returns W^T, V^T and the sweep count."""
+    m, k = G.shape
+    Y = np.hstack((G.T, np.eye(k)))
+    eps = np.finfo(float).eps
+    tol = math.sqrt(m) * eps
+    floor = (eps * float(np.linalg.norm(G, "fro"))) ** 2
+    steps = _oracle_round_robin(k)
+    for sweep in range(1, spectra.JACOBI_MAX_SWEEPS + 1):
+        rotated = False
+        for p, q in steps:
+            Yp, Yq = Y[p], Y[q]
+            Wp, Wq = Yp[:, :m], Yq[:, :m]
+            a = np.einsum("ij,ij->i", Wp, Wp)
+            b = np.einsum("ij,ij->i", Wq, Wq)
+            c = np.einsum("ij,ij->i", Wp, Wq)
+            rot = np.abs(c) > np.maximum(tol * np.sqrt(a * b), floor)
+            if not rot.any():
+                continue
+            if not rot.all():
+                p, q, Yp, Yq, a, b, c = p[rot], q[rot], Yp[rot], Yq[rot], a[rot], b[rot], c[rot]
+            rotated = True
+            zeta = (b - a) / (2.0 * c)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = (cs * t)[:, None]
+            cs = cs[:, None]
+            Y[p] = cs * Yp - sn * Yq
+            Y[q] = sn * Yp + cs * Yq
+        if not rotated:
+            return Y[:, :m], Y[:, m:], sweep
+    raise AssertionError("oracle did not converge")
+
+
+def _oracle_corpus() -> list[SymmetricMatrix]:
+    rng = random.Random(2024)
+    graphs = []
+    for _ in range(24):
+        n1, n2, p = rng.randint(1, 25), rng.randint(1, 25), rng.choice((0.1, 0.3, 0.6, 0.9))
+        edges = {(u, v) for u in range(n1) for v in range(n2) if rng.random() < p}
+        graphs.append(build(n1, n2, edges))
+    for mode in ("balanced", "unbalanced"):
+        graphs += [random_tree(n, mode, n) for n in (2, 9, 24, 37)]
+    graphs += [complete_bipartite(m, n) for m, n in ((1, 1), (1, 12), (5, 5), (9, 4), (3, 20))]
+    # disconnected: components side by side, isolated vertices, no edges at all
+    graphs += [
+        build(9, 8, [(u, v) for u in range(4) for v in range(3)]
+              + [(u, v) for u in range(5, 9) for v in range(4, 8)]),
+        build(12, 10, [(u, u % 10) for u in range(0, 12, 3)]),
+        build(6, 7, []),
+    ]
+    matrices = [
+        builder(g)
+        for g in graphs
+        for builder in (adjacency_matrix, laplacian_matrix, signless_laplacian_matrix)
+    ]
+    nrng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 6, 11, 19, 30):
+        X = nrng.integers(-9, 10, size=(n, n)).astype(float)
+        Y = X[: n // 2 + 1]
+        matrices.append(SymmetricMatrix((X + X.T) / 7.0))  # indefinite
+        matrices.append(SymmetricMatrix((X @ X.T) * 0.125))  # PSD
+        matrices.append(SymmetricMatrix((Y.T @ Y) / 3.0))  # PSD, rank deficient
+    return matrices
+
+
+def test_kernel_matches_v_accumulating_oracle_on_w():
+    rng = np.random.default_rng(7)
+    for m, k in ((1, 1), (5, 1), (6, 4), (9, 9), (25, 17), (40, 40)):
+        G = rng.integers(-4, 5, size=(m, k)).astype(float) * 0.75
+        Wt, sweeps = spectra._one_sided_jacobi(G)
+        oracle_Wt, oracle_Vt, oracle_sweeps = _oracle_jacobi(G)
+        assert sweeps == oracle_sweeps
+        assert np.array_equal(Wt, oracle_Wt)
+        assert np.allclose(G @ oracle_Vt.T, oracle_Wt.T)
+
+
+def test_kernel_never_mutates_the_cached_steps():
+    before = [pq.copy() for pq, _ in spectra._round_robin(9)]
+    spectra._one_sided_jacobi(np.random.default_rng(1).normal(size=(12, 9)))
+    steps = spectra._round_robin(9)
+    assert steps is spectra._round_robin(9)
+    for (pq, _), b in zip(steps, before):
+        assert np.array_equal(pq, b)
+        assert not pq.flags.writeable
+    pairs = {tuple(sorted((int(pq[i]), int(pq[h + i])))) for pq, h in steps for i in range(h)}
+    assert pairs == {(i, j) for i in range(9) for j in range(i + 1, 9)}
+
+
+def test_eigenvalues_and_sweeps_match_v_accumulating_oracle(monkeypatch):
+    corpus = _oracle_corpus()
+    new = [symmetric_eigenvalues(M) for M in corpus]
+    monkeypatch.setattr(spectra, "_one_sided_jacobi", lambda G: _oracle_jacobi(G)[::2])
+    old = [symmetric_eigenvalues(M) for M in corpus]
+    for a, b in zip(new, old):
+        assert a.eigenvalues == b.eigenvalues
+        assert a.iterations == b.iterations
+
+
+# ---------------------------------------------- certificate on the shifted route
+
+
+def _assert_certified(M: SymmetricMatrix) -> None:
+    rep = symmetric_eigenvalues(M)
+    ref = np.linalg.eigvalsh(M.data)[::-1]
+    assert max(abs(a - b) for a, b in zip(rep.eigenvalues, ref)) <= 1e-10
+    assert rep.residual <= 1e-8
+
+
+def test_certificate_three_components_on_shifted_route():
+    edges = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (5, 4), (6, 5), (5, 5)]
+    g = build(7, 6, edges)
+    assert spectra._bipartite_split(laplacian_matrix(g).data) is None
+    for builder in (laplacian_matrix, signless_laplacian_matrix):
+        M = builder(g)
+        _assert_certified(M)
+        assert sum(abs(x) <= 1e-10 for x in symmetric_eigenvalues(M).eigenvalues) == 3
+
+
+def test_certificate_zero_matrix_is_exactly_zero():
+    for n in (1, 2, 5):
+        rep = symmetric_eigenvalues(SymmetricMatrix(np.zeros((n, n))))
+        assert rep.eigenvalues == (0.0,) * n
+        assert rep.residual == 0.0
+
+
+def _weak_link_laplacian(weight: float) -> np.ndarray:
+    """Weighted Laplacian of two integer-weighted blocks joined by one weak
+    edge: PSD with Gershgorin bound 0, so the shifted route solves it
+    unshifted, and its second-smallest eigenvalue is about weight * 0.3."""
+    n = 9
+    W = np.zeros((n, n))
+    rng = random.Random(9)
+    for block in (range(0, 4), range(4, n)):
+        for i in block:
+            for j in block:
+                if i < j:
+                    W[i, j] = W[j, i] = rng.randint(1, 6)
+    W[3, 4] = W[4, 3] = weight
+    return np.diag(W.sum(axis=1)) - W
+
+
+@pytest.mark.parametrize("split", ["sqrt-eps", "route"])
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_certificate_eigenvalue_at_the_split(split, side):
+    eps = np.finfo(float).eps
+    scale = math.sqrt(eps) if split == "sqrt-eps" else eps ** (2 / 3)
+    probe = 2.0**-20
+    slope = np.linalg.eigvalsh(_weak_link_laplacian(probe))[1] / probe
+    target = side * scale * np.linalg.norm(_weak_link_laplacian(0.0), "fro")
+    # a multiple of 2^-60 keeps every row sum of the Laplacian exact
+    L = _weak_link_laplacian(round(target / slope * 2.0**60) * 2.0**-60)
+    mu2 = np.linalg.eigvalsh(L)[1]
+    ratio = mu2 / (scale * np.linalg.norm(L, "fro"))
+    assert ratio == pytest.approx(side, rel=0.02)
+    _assert_certified(SymmetricMatrix(L))
 
 
 def test_eigenvalue_clusters():
