@@ -41,7 +41,7 @@ class LinearCode:
 
     @classmethod
     def from_matrix(cls, H: np.ndarray) -> LinearCode:
-        H = np.asarray(H, dtype=np.uint8) % 2
+        H = np.asarray(H, dtype=np.uint8) & 1  # % 2, without numpy's slow uint8 modulo
         rows, cols = H.shape
         if cols == 0:
             raise ValueError("block length must be >= 1, got 0 columns")
@@ -87,35 +87,43 @@ def _pack_rows(M: np.ndarray) -> np.ndarray:
 def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2) with the pivot column list.
 
-    Pivots follow the leftmost-lowest rule: columns are scanned left to
-    right, and the pivot is the first remaining row holding a 1.  Rows are
-    packed into uint64 words; each pivot column takes one vectorised search
-    for the pivot row and one XOR of the pivot row into every other row
-    holding a 1.  The pivot row is zero left of its pivot column, so only
-    the words from the pivot's word on are XOR-ed.
+    H holds 0/1 and is left unchanged.  Each row is read as a Python int
+    whose leading bit is its leftmost column (column c is bit top - c), so a
+    row's pivot is its bit_length.  The forward pass inserts every row into a
+    table indexed by leading bit, XOR-ing with the stored row until its
+    leading bit is new.  Back-substitution then runs from the rightmost pivot
+    to the leftmost and clears each row's bits at the later pivots, one XOR
+    per set bit.  The RREF over a field is unique, so M is the matrix any
+    elimination would give, with zero rows below the rank.
     """
-    M = np.asarray(H, dtype=np.uint8) % 2
-    rows, cols = M.shape
-    P = _pack_rows(M)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        word = c >> 6
-        column = P[:, word] & np.uint64(1 << (c & 63))
-        pivot = r + int(column[r:].argmax())
-        if not column[pivot]:
-            continue
-        if pivot != r:
-            P[[r, pivot]] = P[[pivot, r]]
-            column[pivot] = column[r]
-        column[r] = 0
-        P[np.flatnonzero(column), word:] ^= P[r, word:]
-        pivot_cols.append(c)
-        r += 1
-    M = np.unpackbits(P.view(np.uint8), axis=1, count=cols, bitorder="little")
-    return M, pivot_cols
+    rows, cols = H.shape
+    width = -(-cols // 8)
+    table: list[int] = [0] * (8 * width)
+    for row in np.packbits(H, axis=1):
+        x = int.from_bytes(row.tobytes(), "big")
+        while x:
+            lead = x.bit_length() - 1
+            if not table[lead]:
+                table[lead] = x
+                break
+            x ^= table[lead]
+    leads = [b for b, x in enumerate(table) if x]  # rightmost pivot first
+    done = 0
+    for lead in leads:
+        x = table[lead]
+        later = x & done
+        while later:
+            b = later.bit_length() - 1
+            x ^= table[b]
+            later ^= 1 << b
+        table[lead] = x
+        done |= 1 << lead
+    top = 8 * width - 1
+    leads.reverse()
+    data = b"".join(table[b].to_bytes(width, "big") for b in leads)
+    data += bytes(width * (rows - len(leads)))
+    packed_rref = np.frombuffer(data, dtype=np.uint8).reshape(rows, width)
+    return np.unpackbits(packed_rref, axis=1, count=cols), [top - b for b in leads]
 
 
 def _nullspace(M: np.ndarray, pivot_cols: list[int]) -> np.ndarray:
@@ -345,9 +353,10 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
 
 def write_pchk(code: LinearCode) -> str:
     """Dense text serialization: `pchk <rows> <cols>` then 0/1 rows."""
-    lines = [f"pchk {code.check_count} {code.n}"]
-    lines += ["".join(str(int(x)) for x in row) for row in code.H]
-    return "\n".join(lines) + "\n"
+    # ASCII '0'/'1' is 48 + bit; a newline column ends each row
+    text = np.full((code.check_count, code.n + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = code.H + ord("0")
+    return f"pchk {code.check_count} {code.n}\n" + text.tobytes().decode("ascii")
 
 
 def read_pchk(text: str) -> LinearCode:
@@ -374,9 +383,10 @@ def read_pchk(text: str) -> LinearCode:
         raise ValueError(f"pchk line {at}: expected {rows} matrix rows, got {len(lines) - 1}")
     H = np.zeros((rows, cols), dtype=np.uint8)
     for r, (at, line) in enumerate(lines[1:]):
-        if len(line) != cols or set(line) - {"0", "1"}:
+        bits = np.frombuffer(line.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        if bits.size != cols or (bits > 1).any():
             raise ValueError(f"pchk line {at} (row {r}): expected {cols} characters of 0/1")
-        H[r] = [int(ch) for ch in line]
+        H[r] = bits
     return LinearCode.from_matrix(H)
 
 

@@ -54,9 +54,13 @@ class ConvergenceError(RuntimeError):
     """Raised when Jacobi sweeps do not converge or a residual fails its gate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """Square real matrix, exactly symmetric by construction."""
+    """Square real matrix, exactly symmetric by construction.
+
+    Matrices compare and hash by (kind, data), with entries compared by
+    value as np.array_equal does.
+    """
 
     data: np.ndarray
     kind: str = "custom"
@@ -71,6 +75,16 @@ class SymmetricMatrix:
             raise ValueError("matrix is not exactly symmetric")
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymmetricMatrix):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.data, other.data)
+
+    def __hash__(self) -> int:
+        # float64 bytes, with -0.0 turned to 0.0, so equal values hash equal
+        values = np.asarray(self.data, dtype=np.float64) + 0.0
+        return hash((self.kind, self.data.shape, values.tobytes()))
 
     @property
     def order(self) -> int:

@@ -244,6 +244,22 @@ def test_pchk_roundtrip():
     assert write_pchk(again) == text
 
 
+def test_pchk_roundtrip_at_decoder_size():
+    code = _regular_code(1200, random.Random(21))
+    text = write_pchk(code)
+    # the per-entry text the writer has always produced
+    assert text == "pchk 600 1200\n" + "".join(
+        "".join(str(int(x)) for x in row) + "\n" for row in code.H
+    )
+    assert read_pchk(text) == code
+
+
+def test_pchk_of_zero_rows():
+    code = LinearCode.from_matrix(np.zeros((0, 3), dtype=np.uint8))
+    assert write_pchk(code) == "pchk 0 3\n"
+    assert read_pchk("pchk 0 3\n") == code
+
+
 def test_alist_roundtrip():
     code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
     text = write_alist(code)
@@ -325,6 +341,10 @@ def test_pchk_errors_name_the_line():
         read_pchk("pchk 2 2\n11\n\n1x\n")
     with pytest.raises(ValueError, match=r"pchk line 1: expected 2 matrix rows, got 1"):
         read_pchk("pchk 2 2\n11\n")
+    # too long, too short, a space, a digit above 1, a non-ASCII character
+    for bad in ("110", "1", "1 1", "12", "1\u00e9", "\u0661\u0660"):
+        with pytest.raises(ValueError, match=r"pchk line 3 \(row 1\): expected 2 characters of 0/1"):
+            read_pchk(f"pchk 2 2\n01\n{bad}\n")
 
 
 def test_from_matrix_rejects_zero_columns():
@@ -371,6 +391,56 @@ def _int_nullspace(H: np.ndarray) -> list[int]:
     return [
         (1 << f) | sum(1 << p for p, row in zip(pivots, rows) if row >> f & 1) for f in free
     ]
+
+
+def _packed_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The per-column packed-word elimination _gf2_rref used before it moved
+    to int rows: per pivot column, one vectorised pivot search over uint64
+    words and one XOR of the pivot row into every other row holding a 1."""
+    M = np.asarray(H, dtype=np.uint8) % 2
+    rows, cols = M.shape
+    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(M, axis=1, bitorder="little")
+    P = packed.view(np.dtype("<u8"))
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        word = c >> 6
+        column = P[:, word] & np.uint64(1 << (c & 63))
+        pivot = r + int(column[r:].argmax())
+        if not column[pivot]:
+            continue
+        if pivot != r:
+            P[[r, pivot]] = P[[pivot, r]]
+            column[pivot] = column[r]
+        column[r] = 0
+        P[np.flatnonzero(column), word:] ^= P[r, word:]
+        pivot_cols.append(c)
+        r += 1
+    M = np.unpackbits(P.view(np.uint8), axis=1, count=cols, bitorder="little")
+    return M, pivot_cols
+
+
+def _basis_from_rref(M: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Null-space basis read off an RREF, one free column at a time."""
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), M.shape[1]), dtype=np.uint8)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, p in enumerate(pivots):
+            basis[i, p] = M[row, f]
+    return basis
+
+
+def _assert_matches_packed_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    expected, expected_pivots = _packed_rref(H)
+    M, pivots = _gf2_rref(H)
+    assert pivots == expected_pivots
+    assert M.shape == expected.shape and M.dtype == expected.dtype == np.uint8
+    assert np.array_equal(M, expected)
+    return M, pivots
 
 
 def _gray_min_weight(masks: list[int], n: int) -> int:
@@ -435,6 +505,44 @@ def test_rref_rank_nullspace_match_int_elimination():
         basis = LinearCode.from_matrix(H).basis
         assert basis.shape == (H.shape[1] - len(pivots), H.shape[1])
         assert _int_rows(basis) == _int_nullspace(H)
+
+
+def test_rref_matches_packed_elimination():
+    for H in _elimination_cases():
+        _assert_matches_packed_rref(H)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_matches_packed_elimination_at_decoder_size(seed):
+    code = _regular_code((800, 1000, 1200)[seed % 3], random.Random(seed))
+    _assert_matches_packed_rref(code.H)
+
+
+def test_rref_of_zero_rows():
+    M, pivots = _gf2_rref(np.zeros((0, 13), dtype=np.uint8))
+    assert (M.shape, M.dtype, pivots) == ((0, 13), np.uint8, [])
+    _assert_matches_packed_rref(np.zeros((0, 13), dtype=np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rref_property_matches_packed_elimination(data):
+    rows = data.draw(st.integers(1, 80), label="rows")
+    cols = data.draw(st.integers(1, 200), label="cols")
+    density = data.draw(st.sampled_from([0.02, 0.1, 0.5, 0.95]), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    H = (rng.random((rows, cols)) < density).astype(np.uint8)
+    index = st.integers(0, rows - 1)
+    for r in data.draw(st.lists(index, max_size=3), label="zero rows"):
+        H[r] = 0
+    for r in data.draw(st.lists(index, max_size=3), label="all-ones rows"):
+        H[r] = 1
+    for r, s in data.draw(st.lists(st.tuples(index, index), max_size=3), label="duplicates"):
+        H[r] = H[s]
+    M, pivots = _assert_matches_packed_rref(H)
+    code = LinearCode.from_matrix(H)
+    assert code.rank == len(pivots)
+    assert np.array_equal(code.basis, _basis_from_rref(M, pivots))
 
 
 def test_rref_leaves_input_unchanged():

@@ -83,6 +83,21 @@ def test_symmetric_matrix_keeps_a_private_copy():
     assert symmetric_eigenvalues(M).eigenvalues == pytest.approx(((5 + root) / 2, (5 - root) / 2))
 
 
+def test_symmetric_matrix_compares_and_hashes_by_kind_and_data():
+    M = SymmetricMatrix(np.eye(2))
+    assert M == SymmetricMatrix(np.eye(2)) and hash(M) == hash(SymmetricMatrix(np.eye(2)))
+    # entries compare by value, whatever their dtype or the sign of a zero
+    assert M == SymmetricMatrix(np.eye(2, dtype=np.int64))
+    assert hash(M) == hash(SymmetricMatrix(np.eye(2, dtype=np.int64)))
+    zero, negative_zero = SymmetricMatrix(np.zeros((2, 2))), SymmetricMatrix(-np.zeros((2, 2)))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert M != SymmetricMatrix(np.eye(2), "laplacian")
+    assert M != zero and M != SymmetricMatrix(np.eye(3)) and M != "eye"
+    g = complete_bipartite(3, 2)
+    assert adjacency_matrix(g) == adjacency_matrix(g)
+    assert len({adjacency_matrix(g), adjacency_matrix(g), laplacian_matrix(g), M}) == 3
+
+
 # --- eigensolver ---
 
 
