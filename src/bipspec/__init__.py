@@ -7,7 +7,6 @@ from .bigraph import (
     build,
     complete_bipartite,
     edge_connectivity,
-    is_minimally_connected,
     path_graph,
     random_tree,
     read_edge_list,

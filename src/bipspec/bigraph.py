@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from collections.abc import Iterator
+from operator import itemgetter
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,22 +117,50 @@ def _vertex_adjacency(g: BipartiteGraph) -> list[list[int]]:
 def build(n1: int, n2: int, edges) -> BipartiteGraph:
     """Validate and construct a bipartite graph.
 
-    Rejects out-of-range endpoints and duplicate edges, naming the offending
-    pair in the error message.
+    Rejects out-of-range endpoints and duplicate edges, naming the first
+    offending pair in the error message.
     """
+    _check_sides(n1, n2)
+    return BipartiteGraph(n1, n2, _edge_set(n1, n2, [(u, v) for u, v in edges]))
+
+
+def _check_sides(n1: int, n2: int) -> None:
     if n1 < 1 or n2 < 1:
         raise ValueError(f"both sides must be nonempty, got sizes ({n1}, {n2})")
+
+
+# endpoints of a (left, right) pair; map() with these allocates no container
+# per pair, where zip(*pairs) makes an iterator per pair for the collector
+_LEFT, _RIGHT = itemgetter(0), itemgetter(1)
+
+
+class _EdgeError(ValueError):
+    """A bad pair, at position index of the pairs checked."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def _edge_set(n1: int, n2: int, pairs: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The pairs as a set, after checking them in bulk: every endpoint in
+    range and no pair twice.  On failure the pairs are walked in order and
+    the first bad one raises _EdgeError."""
+    edges = frozenset(pairs)
+    if len(edges) == len(pairs) and (
+        not pairs
+        or (0 <= min(map(_LEFT, pairs)) and max(map(_LEFT, pairs)) < n1)
+        and (0 <= min(map(_RIGHT, pairs)) and max(map(_RIGHT, pairs)) < n2)
+    ):
+        return edges
     seen: set[tuple[int, int]] = set()
-    for pair in edges:
-        u, v = pair
+    for index, (u, v) in enumerate(pairs):
         if not (0 <= u < n1 and 0 <= v < n2):
-            raise ValueError(
-                f"edge ({u}, {v}) out of range for sides ({n1}, {n2})"
-            )
+            raise _EdgeError(index, f"edge ({u}, {v}) out of range for sides ({n1}, {n2})")
         if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
+            raise _EdgeError(index, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    return BipartiteGraph(n1, n2, frozenset(seen))
+    return edges
 
 
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:
@@ -215,11 +243,6 @@ def _tree_edges(rng: random.Random, n1: int, n2: int) -> list[tuple[int, int]]:
     return edges
 
 
-def is_minimally_connected(g: BipartiteGraph) -> bool:
-    """True iff g is connected and every edge is a bridge (m = n - 1)."""
-    return g.is_connected() and g.m == g.n - 1
-
-
 def edge_connectivity(g: BipartiteGraph) -> int:
     """Edge connectivity via unit-capacity max-flow (Edmonds-Karp).
 
@@ -276,38 +299,22 @@ def write_edge_list(g: BipartiteGraph) -> str:
 def read_edge_list(text: str) -> BipartiteGraph:
     """Parse the `bip` edge-list format; `#` comment lines are ignored.
 
-    Malformed text raises ValueError starting with `line N:`, counting every
-    line of the text from 1.  `build` consumes the edges as they are read, so
-    its errors name the line too.  A side above MAX_SIDE is refused at the
+    One pass over the lines parses the header and the edges; the range and
+    duplicate checks then run on all edges at once.  Malformed text raises
+    ValueError starting with `line N:`, counting every line of the text from
+    1, for the first offending line: a parse error on a later line than a
+    bad edge is not reported.  A side above MAX_SIDE is refused at the
     header, before anything is allocated.
     """
     lines = enumerate(text.splitlines(), start=1)
     at = 0  # the line being read
-
-    def edges() -> Iterator[tuple[int, int]]:
-        nonlocal at
-        for at, raw in lines:
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 3 or parts[0] != "e":
-                raise ValueError("expected edge line 'e <left> <right>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(
-                    f"expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
-                ) from None
-            yield u, v
-
+    for at, raw in lines:
+        header = raw.split()
+        if header and not header[0].startswith("#"):
+            break
+    else:
+        raise ValueError(f"line {at + 1}: missing 'bip <n1> <n2>' header")
     try:
-        for at, raw in lines:
-            header = raw.split()
-            if header and not header[0].startswith("#"):
-                break
-        else:
-            at += 1
-            raise ValueError("missing 'bip <n1> <n2>' header")
         if len(header) != 3 or header[0] != "bip":
             raise ValueError("expected header 'bip <n1> <n2>'")
         try:
@@ -316,6 +323,29 @@ def read_edge_list(text: str) -> BipartiteGraph:
             raise ValueError(f"expected integer sides, got {header[1]!r} {header[2]!r}") from None
         if max(n1, n2) > MAX_SIDE:
             raise ValueError(f"side sizes ({n1}, {n2}) exceed the limit {MAX_SIDE}")
-        return build(n1, n2, edges())
+        _check_sides(n1, n2)
     except ValueError as exc:
         raise ValueError(f"line {at}: {exc}") from None
+    pairs: list[tuple[int, int]] = []
+    where: list[int] = []  # the line of each pair
+    problem = None  # the first malformed line, where parsing stopped
+    for at, raw in lines:
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e":
+            try:
+                pair = int(parts[1]), int(parts[2])
+            except ValueError:
+                problem = f"line {at}: expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
+                break
+            pairs.append(pair)
+            where.append(at)
+        elif parts and not parts[0].startswith("#"):
+            problem = f"line {at}: expected edge line 'e <left> <right>'"
+            break
+    try:
+        edges = _edge_set(n1, n2, pairs)
+    except _EdgeError as exc:
+        raise ValueError(f"line {where[exc.index]}: {exc}") from None
+    if problem is not None:
+        raise ValueError(problem)
+    return BipartiteGraph(n1, n2, edges)

@@ -7,8 +7,11 @@ null space of H over GF(2); there is no generator-matrix path.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +23,33 @@ MAX_ENUM_DIMENSION = 20
 TABLE_DIMENSION = 12  # basis vectors spanned into min_distance's table
 
 
+class _Incidence(NamedTuple):
+    """The ones of H listed check-major and bit-major.
+
+    Check j holds bits[check_start[j] : check_start[j + 1]] and bit i lies in
+    checks bit_checks[bit_start[i] : bit_start[i + 1]], both ascending;
+    checks[t] is the check of bits[t] and col_weight[i] the weight of bit i.
+    """
+
+    checks: np.ndarray
+    bits: np.ndarray
+    check_start: np.ndarray
+    bit_checks: np.ndarray
+    bit_start: np.ndarray
+    col_weight: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     """Parity-check view of a binary linear code.
 
     n is the block length (columns of H), check_count the number of rows.
-    dimension = n - rank over GF(2); rate = dimension / n.  basis holds the
-    null-space basis of H, one codeword per row, from the same elimination
-    that gave the rank.  Codes compare and hash by H, which determines every
-    other field.
+    dimension = n - rank over GF(2); rate = dimension / n.  The rank comes
+    from the forward elimination alone, whose echelon rows the code keeps.
+    basis (the null-space basis of H, one codeword per row) and the
+    incidence lists of H are derived the first time they are read, the
+    basis by back-substitution on the kept rows.  H is read-only.  Codes
+    compare and hash by H, which determines every other field.
     """
 
     H: np.ndarray
@@ -37,7 +58,7 @@ class LinearCode:
     rank: int
     dimension: int
     rate: float
-    basis: np.ndarray = field(repr=False)
+    _echelon: tuple[int, ...] = field(repr=False)  # _gf2_echelon(H)
 
     @classmethod
     def from_matrix(cls, H: np.ndarray) -> LinearCode:
@@ -45,12 +66,31 @@ class LinearCode:
         rows, cols = H.shape
         if cols == 0:
             raise ValueError("block length must be >= 1, got 0 columns")
-        M, pivot_cols = _gf2_rref(H)
-        r = len(pivot_cols)
-        basis = _nullspace(M, pivot_cols)
+        echelon = _gf2_echelon(H)
+        r = len(echelon) - echelon.count(0)
         H.setflags(write=False)
+        return cls(H, cols, rows, r, cols - r, (cols - r) / cols, echelon)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        M, pivot_cols = _gf2_back_substitute(self._echelon, self.H.shape)
+        basis = _nullspace(M, pivot_cols)
         basis.setflags(write=False)
-        return cls(H, cols, rows, r, cols - r, (cols - r) / cols, basis)
+        return basis
+
+    @functools.cached_property
+    def _incidence(self) -> _Incidence:
+        rows, n = self.H.shape
+        checks, bits = np.divmod(np.flatnonzero(self.H), n)
+        col_weight = np.bincount(bits, minlength=n)
+        return _Incidence(
+            checks,
+            bits,
+            np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=rows)))),
+            checks[np.argsort(bits, kind="stable")],
+            np.concatenate(([0], np.cumsum(col_weight))),
+            col_weight,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
@@ -72,8 +112,10 @@ class LinearCode:
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     """Parity-check matrix of the factor graph: bits = X, checks = Y."""
-    # C order: H's rows are packed and scanned row by row downstream
-    return LinearCode.from_matrix(np.ascontiguousarray(g.biadjacency().T))
+    H = np.zeros((g.n2, g.n1), dtype=np.uint8)
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
+    H[ends[1::2], ends[::2]] = 1  # edge (u, v) is H[v, u]
+    return LinearCode.from_matrix(H)
 
 
 def _pack_rows(M: np.ndarray) -> np.ndarray:
@@ -84,29 +126,44 @@ def _pack_rows(M: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype("<u8"))
 
 
-def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(2) with the pivot column list.
+def _gf2_echelon(H: np.ndarray) -> tuple[int, ...]:
+    """Forward GF(2) elimination: a row echelon form indexed by leading bit.
 
     H holds 0/1 and is left unchanged.  Each row is read as a Python int
-    whose leading bit is its leftmost column (column c is bit top - c), so a
-    row's pivot is its bit_length.  The forward pass inserts every row into a
-    table indexed by leading bit, XOR-ing with the stored row until its
-    leading bit is new.  Back-substitution then runs from the rightmost pivot
-    to the leftmost and clears each row's bits at the later pivots, one XOR
-    per set bit.  The RREF over a field is unique, so M is the matrix any
-    elimination would give, with zero rows below the rank.
+    whose leading bit is its leftmost column (column c is bit top - c, with
+    top = 8 * ceil(cols / 8) - 1), so a row's pivot is its bit_length.  Every
+    row is inserted into a table indexed by leading bit, XOR-ing with the
+    stored row until its leading bit is new.  Entry b of the result is the
+    row whose leading bit is b, or 0, so the rank is the number of nonzero
+    entries.
     """
-    rows, cols = H.shape
-    width = -(-cols // 8)
+    width = -(-H.shape[1] // 8)
     table: list[int] = [0] * (8 * width)
-    for row in np.packbits(H, axis=1):
-        x = int.from_bytes(row.tobytes(), "big")
+    data = np.packbits(H, axis=1).tobytes()
+    for start in range(0, len(data), width):
+        x = int.from_bytes(data[start : start + width], "big")
         while x:
             lead = x.bit_length() - 1
             if not table[lead]:
                 table[lead] = x
                 break
             x ^= table[lead]
+    return tuple(table)
+
+
+def _gf2_back_substitute(
+    echelon: tuple[int, ...], shape: tuple[int, int]
+) -> tuple[np.ndarray, list[int]]:
+    """The reduced row-echelon form of a rows x cols matrix from its
+    _gf2_echelon table, with the pivot column list.
+
+    Back-substitution runs from the rightmost pivot to the leftmost and
+    clears each row's bits at the later pivots, one XOR per set bit.  The
+    RREF over a field is unique, so M is the matrix any elimination would
+    give, with zero rows below the rank.
+    """
+    rows, cols = shape
+    table = list(echelon)
     leads = [b for b, x in enumerate(table) if x]  # rightmost pivot first
     done = 0
     for lead in leads:
@@ -118,7 +175,8 @@ def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
             later ^= 1 << b
         table[lead] = x
         done |= 1 << lead
-    top = 8 * width - 1
+    width = len(table) // 8
+    top = len(table) - 1
     leads.reverse()
     data = b"".join(table[b].to_bytes(width, "big") for b in leads)
     data += bytes(width * (rows - len(leads)))
@@ -203,19 +261,15 @@ def bit_flip_decode(
     H @ word = 0 over GF(2).
 
     The syndrome, the unsatisfied-check count and the margins are computed
-    once from the incidence lists of H; a flip toggles only its own checks
-    and moves the margins of their bits by 2 each.
+    once from the code's incidence lists of H; a flip toggles only its own
+    checks and moves the margins of their bits by 2 each.
     """
     word = np.asarray(received, dtype=np.uint8) % 2
     if word.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = word.copy()
     rows, n = code.H.shape
-    checks, bits = np.divmod(np.flatnonzero(code.H != 0), n)  # check-major: each check's bits
-    bit_checks = checks[np.argsort(bits, kind="stable")]  # bit-major: the checks of each bit
-    col_weight = np.bincount(bits, minlength=n)
-    bit_start = np.concatenate(([0], np.cumsum(col_weight)))
-    check_start = np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=rows))))
+    checks, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
     syndrome = np.bincount(checks[word[bits] == 1], minlength=rows) & 1
     unsatisfied = int(syndrome.sum())
     margin = 2 * np.bincount(bits[syndrome[checks] == 1], minlength=n) - col_weight
@@ -392,20 +446,26 @@ def read_pchk(text: str) -> LinearCode:
 
 def write_alist(code: LinearCode) -> str:
     """Sparse alist serialization (columns first, 1-based indices, unpadded)."""
-    H = code.H
-    rows, cols = H.shape
-    col_lists = [list(np.nonzero(H[:, c])[0] + 1) for c in range(cols)]
-    row_lists = [list(np.nonzero(H[r, :])[0] + 1) for r in range(rows)]
+    rows, cols = code.H.shape
+    _, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
+    row_weight = np.diff(check_start)
     out = [
         f"{cols} {rows}",
-        f"{max((len(c) for c in col_lists), default=0)} "
-        f"{max((len(r) for r in row_lists), default=0)}",
-        " ".join(str(len(c)) for c in col_lists),
-        " ".join(str(len(r)) for r in row_lists),
+        f"{col_weight.max(initial=0)} {row_weight.max(initial=0)}",
+        " ".join(map(str, col_weight.tolist())),
+        " ".join(map(str, row_weight.tolist())),
+        *_index_lines(bit_checks, bit_start),
+        *_index_lines(bits, check_start),
     ]
-    out += [" ".join(str(i) for i in c) for c in col_lists]
-    out += [" ".join(str(i) for i in r) for r in row_lists]
     return "\n".join(out) + "\n"
+
+
+def _index_lines(entries: np.ndarray, start: np.ndarray) -> list[str]:
+    """One line per list entries[start[i] : start[i + 1]], 1-based and
+    space-separated."""
+    words = [str(x) for x in (entries + 1).tolist()]
+    bounds = start.tolist()
+    return [" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def read_alist(text: str) -> LinearCode:

@@ -4,13 +4,15 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipspec import bigraph
 from bipspec.bigraph import (
+    BipartiteGraph,
     build,
     complete_bipartite,
     edge_connectivity,
-    is_minimally_connected,
     path_graph,
     random_tree,
     read_edge_list,
@@ -81,7 +83,7 @@ def test_path_graph_is_a_path():
         degrees = sorted(prof.left_degrees + prof.right_degrees)
         assert degrees.count(1) == 2
         assert all(d in (1, 2) for d in degrees)
-        assert is_minimally_connected(g)
+        assert g.is_connected() and g.m == g.n - 1
 
 
 def test_random_tree_unbalanced_is_star():
@@ -94,7 +96,7 @@ def test_random_tree_balanced_sides():
     g = random_tree(10, "balanced", 7)
     assert (g.n1, g.n2) == (5, 5)
     assert g.m == 9
-    assert is_minimally_connected(g)
+    assert g.is_connected() and g.m == g.n - 1
 
 
 def test_random_tree_two_vertices():
@@ -117,7 +119,7 @@ def test_random_tree_always_minimally_connected():
         n = rng.randint(2, 16)
         mode = rng.choice(["balanced", "unbalanced"])
         g = random_tree(n, mode, seed)
-        assert is_minimally_connected(g)
+        assert g.is_connected() and g.m == g.n - 1
         prof = g.degree_profile()
         assert sum(prof.left_degrees) == sum(prof.right_degrees) == g.m
 
@@ -127,9 +129,13 @@ def test_random_tree_deterministic():
 
 
 def test_is_minimally_connected_cases():
-    assert is_minimally_connected(path_graph(4))
-    assert not is_minimally_connected(complete_bipartite(2, 2))
-    assert not is_minimally_connected(build(2, 2, [(0, 0), (1, 1)]))
+    # minimally connected: connected, and every edge a bridge (m = n - 1)
+    g = path_graph(4)
+    assert g.is_connected() and g.m == g.n - 1
+    g = complete_bipartite(2, 2)
+    assert g.is_connected() and g.m != g.n - 1
+    g = build(2, 2, [(0, 0), (1, 1)])
+    assert not g.is_connected() and g.m != g.n - 1
 
 
 def _brute_force_min_cut(g) -> int:
@@ -233,3 +239,126 @@ def test_edge_list_side_cap_at_the_header():
     for header in (f"bip {limit + 1} 1", "bip 1 99999999999"):
         with pytest.raises(ValueError, match=rf"^line 2: side sizes .* exceed the limit {limit}"):
             read_edge_list(f"# big\n{header}\ne 0 0\n")
+
+
+def _seed_read_edge_list(text: str) -> BipartiteGraph:
+    """The reader read_edge_list replaced: a per-line generator whose pairs
+    are checked one by one as they are read, so every error names its line."""
+    lines = enumerate(text.splitlines(), start=1)
+    at = 0
+
+    def edges():
+        nonlocal at
+        for at, raw in lines:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 3 or parts[0] != "e":
+                raise ValueError("expected edge line 'e <left> <right>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(
+                    f"expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
+                ) from None
+            yield u, v
+
+    try:
+        for at, raw in lines:
+            header = raw.split()
+            if header and not header[0].startswith("#"):
+                break
+        else:
+            at += 1
+            raise ValueError("missing 'bip <n1> <n2>' header")
+        if len(header) != 3 or header[0] != "bip":
+            raise ValueError("expected header 'bip <n1> <n2>'")
+        try:
+            n1, n2 = int(header[1]), int(header[2])
+        except ValueError:
+            raise ValueError(f"expected integer sides, got {header[1]!r} {header[2]!r}") from None
+        if max(n1, n2) > bigraph.MAX_SIDE:
+            raise ValueError(f"side sizes ({n1}, {n2}) exceed the limit {bigraph.MAX_SIDE}")
+        if n1 < 1 or n2 < 1:
+            raise ValueError(f"both sides must be nonempty, got sizes ({n1}, {n2})")
+        seen = set()
+        for u, v in edges():
+            if not (0 <= u < n1 and 0 <= v < n2):
+                raise ValueError(f"edge ({u}, {v}) out of range for sides ({n1}, {n2})")
+            if (u, v) in seen:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            seen.add((u, v))
+        return BipartiteGraph(n1, n2, frozenset(seen))
+    except ValueError as exc:
+        raise ValueError(f"line {at}: {exc}") from None
+
+
+def _outcome(read, text: str):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# strategies are repeated inside one_of to weight the branches toward text
+# that parses, so that equal graphs are compared as often as equal errors
+_IN_RANGE = st.integers(0, 3)
+_END = st.one_of(_IN_RANGE, _IN_RANGE, _IN_RANGE, st.sampled_from([-1, 4, 5]))
+_SIDES = st.builds("bip {} {}".format, st.integers(1, 4), st.integers(1, 4))
+_HEADER = st.one_of(
+    _SIDES,
+    _SIDES,
+    _SIDES,
+    st.sampled_from(
+        [
+            None, "bip 0 2", "bip 3 -1", "bip 100001 1", "bip 1 99999999999", "bip x 2",
+            "bip 2", "bop 2 2", "bip 2 2 2", "e 0 0",
+        ]
+    ),
+)
+_EDGE = st.builds("e {} {}".format, _END, _END)
+_JUNK = st.sampled_from(
+    [
+        "", "   ", "# comment", "#e 0 0", "  # e 9 9", "x 0 0", "E 1 1", "e 0", "e 0 0 0",
+        "e a 1", "e 1 1.5", "e 0 0 # note", "bip 2 2", "e +1 0", "e 1_0 0",
+    ]
+)
+_LINE = st.one_of(_EDGE, _EDGE, _EDGE, st.builds("  e\t{} {}  ".format, _END, _END), _JUNK)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(["", "# c", "  "]), max_size=2),
+    _HEADER,
+    st.lists(_LINE, max_size=12),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+def test_edge_list_reader_matches_seed_reader(lead, header, body, newline, trailing):
+    text = newline.join(lead + ([header] if header is not None else []) + body)
+    text += newline if trailing else ""
+    assert _outcome(read_edge_list, text) == _outcome(_seed_read_edge_list, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_edge_list_write_read_roundtrip(n1, n2, data):
+    pairs = [(u, v) for u in range(n1) for v in range(n2)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+    g = build(n1, n2, edges)
+    text = write_edge_list(g)
+    assert read_edge_list(text) == g
+    assert write_edge_list(read_edge_list(text)) == text
+
+
+def test_edge_list_reports_the_first_bad_line():
+    # a bad edge before a malformed line is reported, and the other way round
+    assert _outcome(read_edge_list, "bip 2 2\ne 0 0\ne 0 0\nx\n") == (
+        "ValueError: line 3: duplicate edge (0, 0)"
+    )
+    assert _outcome(read_edge_list, "bip 2 2\ne 0 0\nx\ne 0 0\n") == (
+        "ValueError: line 3: expected edge line 'e <left> <right>'"
+    )
+    assert _outcome(read_edge_list, "bip 2 2\ne 0 1\ne 1 1\ne 5 0\ne 0 1\n") == (
+        "ValueError: line 4: edge (5, 0) out of range for sides (2, 2)"
+    )

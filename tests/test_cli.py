@@ -154,15 +154,34 @@ def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
 
 
 def test_each_parity_check_matrix_reduced_once_per_command(tmp_path, monkeypatch):
-    rref = _count_calls(monkeypatch, eccode._gf2_rref)
+    forward = _count_calls(monkeypatch, eccode._gf2_echelon)
+    back = _count_calls(monkeypatch, eccode._gf2_back_substitute)
     graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph)
     out_json = tmp_path / "code.json"
     assert run(["code", "--graph", graph, "--json", str(out_json)]) == 0
-    assert len(rref) == 1
+    # the distance reads the basis, which continues from the forward pass
+    assert (len(forward), len(back)) == (1, 1)
     assert json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]["true_distance"] == 4
-    rref.clear()
+    forward.clear()
+    back.clear()
     assert run(["code", "--pipeline", "8"]) == 0
-    assert len(rref) == 1
+    assert (len(forward), len(back)) == (1, 1)
+
+
+def test_code_beyond_enumeration_never_derives_the_basis(tmp_path, monkeypatch):
+    forward = _count_calls(monkeypatch, eccode._gf2_echelon)
+    back = _count_calls(monkeypatch, eccode._gf2_back_substitute)
+    nullspace = _count_calls(monkeypatch, eccode._nullspace)
+    g = bigraph.build(30, 2, [(u, 0) for u in range(30)])  # rank 1, dimension 29
+    graph = _write_graph(tmp_path, g)
+    out_json = tmp_path / "code.json"
+    alist, pchk = tmp_path / "code.alist", tmp_path / "code.pchk"
+    argv = ["code", "--graph", graph, "--json", str(out_json), "--alist", str(alist), "--pchk", str(pchk)]
+    assert run(argv) == 0
+    entry = json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]
+    assert (entry["dimension"], "true_distance" in entry) == (29, False)
+    assert (len(forward), len(back), len(nullspace)) == (1, 0, 0)
+    assert eccode.read_alist(alist.read_text(encoding="utf-8")) == eccode.parity_check_from_graph(g)
 
 
 def test_split_command_files_and_checks(tmp_path):

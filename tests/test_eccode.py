@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import complete_bipartite
+from bipspec.bigraph import build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
-    _gf2_rref,
+    _gf2_back_substitute,
+    _gf2_echelon,
     bit_flip_decode,
     codewords,
     construct_expander_code,
@@ -25,6 +26,12 @@ from bipspec.eccode import (
     write_pchk,
 )
 from bipspec.vsplit import vertex_split
+
+
+def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The RREF the basis is read from, with its pivot columns: the forward
+    elimination, then back-substitution."""
+    return _gf2_back_substitute(_gf2_echelon(H), H.shape)
 
 
 def _brute_codeword_count(H: np.ndarray) -> int:
@@ -394,7 +401,7 @@ def _int_nullspace(H: np.ndarray) -> list[int]:
 
 
 def _packed_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The per-column packed-word elimination _gf2_rref used before it moved
+    """The per-column packed-word elimination the RREF used before it moved
     to int rows: per pivot column, one vectorised pivot search over uint64
     words and one XOR of the pivot row into every other row holding a 1."""
     M = np.asarray(H, dtype=np.uint8) % 2
@@ -640,3 +647,70 @@ def test_bit_flip_property_matches_dense_loop(data):
     assert np.array_equal(decoded, expected)
     if status == "decoded":
         assert not (H.astype(int) @ decoded % 2).any()
+
+
+def test_reused_and_fresh_codes_decode_like_the_dense_loop():
+    rng = random.Random(71)
+    for n in (120, 300):
+        code = _regular_code(n, rng)
+        for rate in (0.01, 0.03, 0.1, 0.3):
+            word = np.zeros(n, dtype=np.uint8)
+            word[rng.sample(range(n), round(rate * n))] = 1
+            for max_iters in (0, 3, n):
+                reused = bit_flip_decode(code, word, max_iters)
+                fresh = bit_flip_decode(LinearCode.from_matrix(code.H), word, max_iters)
+                expected, expected_status = _dense_bit_flip(code.H, word, max_iters)
+                for decoded, status in (reused, fresh):
+                    assert status == expected_status
+                    assert np.array_equal(decoded, expected)
+
+
+def test_basis_is_derived_on_first_read():
+    H = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=np.uint8)
+    code = LinearCode.from_matrix(H)
+    assert (code.rank, code.dimension) == (2, 2)
+    assert "basis" not in vars(code)
+    basis = code.basis
+    assert code.basis is basis and not basis.flags.writeable and not code.H.flags.writeable
+    assert np.array_equal(basis, _basis_from_rref(*_gf2_rref(H)))
+
+
+def _nonzero_write_alist(code: LinearCode) -> str:
+    """The writer write_alist replaced: one np.nonzero per column and per row."""
+    H = code.H
+    rows, cols = H.shape
+    col_lists = [list(np.nonzero(H[:, c])[0] + 1) for c in range(cols)]
+    row_lists = [list(np.nonzero(H[r, :])[0] + 1) for r in range(rows)]
+    out = [
+        f"{cols} {rows}",
+        f"{max((len(c) for c in col_lists), default=0)} "
+        f"{max((len(r) for r in row_lists), default=0)}",
+        " ".join(str(len(c)) for c in col_lists),
+        " ".join(str(len(r)) for r in row_lists),
+    ]
+    out += [" ".join(str(i) for i in c) for c in col_lists]
+    out += [" ".join(str(i) for i in r) for r in row_lists]
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alist_writer_matches_per_column_writer(data):
+    rows = data.draw(st.integers(0, 12), label="rows")
+    cols = data.draw(st.integers(1, 15), label="cols")
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    H = (rng.random((rows, cols)) < density).astype(np.uint8)
+    code = LinearCode.from_matrix(H)
+    text = write_alist(code)
+    assert text == _nonzero_write_alist(code)
+    assert read_alist(text) == code
+
+
+def test_parity_check_matrix_is_the_transposed_biadjacency():
+    rng = random.Random(5)
+    for n1, n2, p in ((1, 1, 0.0), (3, 5, 0.5), (17, 9, 0.2), (64, 40, 0.1)):
+        g = build(n1, n2, [(u, v) for u in range(n1) for v in range(n2) if rng.random() < p])
+        H = parity_check_from_graph(g).H
+        assert H.dtype == np.uint8 and H.flags.c_contiguous
+        assert np.array_equal(H, g.biadjacency().T)
