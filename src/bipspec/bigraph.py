@@ -8,7 +8,9 @@ construction and every function here is pure, so concurrent use is safe.
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
+from collections.abc import Callable
 from operator import itemgetter
 from dataclasses import dataclass
 
@@ -289,6 +291,28 @@ def _max_flow_unit(adj: list[list[int]], s: int, t: int, limit: int) -> int:
     return flow
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer_parser(text: str) -> Callable[[str], int]:
+    """The parser for the integer tokens of text: each must be ASCII
+    -?[0-9]+, and a bad one raises ValueError.
+
+    Python's int also reads '+3', '1_1' and non-ASCII digits.  Text with no
+    '+', no '_' and no non-ASCII character holds no such token, so int
+    itself serves it and no token is matched one by one.
+    """
+    if text.isascii() and "_" not in text and "+" not in text:
+        return int
+    return _ascii_int
+
+
+def _ascii_int(token: str) -> int:
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def write_edge_list(g: BipartiteGraph) -> str:
     """Serialize to the `bip` edge-list text format (edges sorted, 0-based)."""
     lines = [f"bip {g.n1} {g.n2}"]
@@ -300,12 +324,14 @@ def read_edge_list(text: str) -> BipartiteGraph:
     """Parse the `bip` edge-list format; `#` comment lines are ignored.
 
     One pass over the lines parses the header and the edges; the range and
-    duplicate checks then run on all edges at once.  Malformed text raises
+    duplicate checks then run on all edges at once.  Sides and endpoints are
+    ASCII integers, -?[0-9]+.  Malformed text raises
     ValueError starting with `line N:`, counting every line of the text from
     1, for the first offending line: a parse error on a later line than a
     bad edge is not reported.  A side above MAX_SIDE is refused at the
     header, before anything is allocated.
     """
+    parse = _integer_parser(text)
     lines = enumerate(text.splitlines(), start=1)
     at = 0  # the line being read
     for at, raw in lines:
@@ -318,7 +344,7 @@ def read_edge_list(text: str) -> BipartiteGraph:
         if len(header) != 3 or header[0] != "bip":
             raise ValueError("expected header 'bip <n1> <n2>'")
         try:
-            n1, n2 = int(header[1]), int(header[2])
+            n1, n2 = parse(header[1]), parse(header[2])
         except ValueError:
             raise ValueError(f"expected integer sides, got {header[1]!r} {header[2]!r}") from None
         if max(n1, n2) > MAX_SIDE:
@@ -333,7 +359,7 @@ def read_edge_list(text: str) -> BipartiteGraph:
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e":
             try:
-                pair = int(parts[1]), int(parts[2])
+                pair = parse(parts[1]), parse(parts[2])
             except ValueError:
                 problem = f"line {at}: expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
                 break

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, complete_bipartite
+from .bigraph import BipartiteGraph, _integer_parser, complete_bipartite
 from .expansion import LosslessParams, lossless_parameters
 from .vsplit import VertexSplitResult, vertex_split
 
@@ -205,15 +206,45 @@ def _span(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _small_distance(H: np.ndarray) -> int | None:
+    """The minimum distance of H's code when it is at most 4, else None.
+
+    Each column of H is read as a Python int, packed the way _gf2_echelon
+    reads rows, so equal columns give equal ints.  A zero column is a
+    codeword of weight 1 and a repeated column one of weight 2.  With
+    neither present, a pair XOR equal to some column is a weight-3 word
+    (the three columns differ), and two pairs with equal XORs are disjoint,
+    a weight-4 word.  None therefore certifies a distance of at least 5.
+    """
+    columns = [int.from_bytes(c, "big") for c in np.packbits(H.T, axis=1)]
+    if 0 in columns:
+        return 1
+    distinct = set(columns)
+    if len(distinct) < len(columns):
+        return 2
+    sums = list(itertools.starmap(operator.xor, itertools.combinations(columns, 2)))
+    if not distinct.isdisjoint(sums):
+        return 3
+    if len(set(sums)) < len(sums):
+        return 4
+    return None
+
+
 def min_distance(code: LinearCode) -> int | None:
-    """Minimum Hamming weight over nonzero codewords, by full enumeration.
+    """Minimum Hamming weight over nonzero codewords, exact.
 
     Returns None for the zero-dimensional code (distance undefined) and
-    refuses when 2^k exceeds 2^20.  The basis rows are packed into uint64
-    words; a table holds all 2^k1 combinations of the first k1 <= 12 basis
+    refuses when 2^k exceeds 2^20.  A distance of at most 4 is read off
+    collisions among H's columns (_small_distance), without the basis; that
+    search holds all n(n-1)/2 column pairs, so it runs only while they
+    number at most 2^12, the rows of the enumeration's table.  Otherwise the
+    codewords are enumerated: the basis rows are packed into uint64 words;
+    a table holds all 2^k1 combinations of the first k1 <= 12 basis
     vectors, and a Gray code walks the 2^(k - k1) combinations of the rest,
-    XOR-ing each into the whole table and taking the least bit count.  The
-    zero word (the empty combination) is skipped, so the weight is exact.
+    XOR-ing each into the whole table and taking the least bit count, until
+    that count reaches the certified lower bound (5 after the collision
+    search, else 1).  The zero word (the empty combination) is skipped, so
+    the weight is exact.
     """
     k = code.dimension
     if k == 0:
@@ -223,11 +254,19 @@ def min_distance(code: LinearCode) -> int | None:
             f"minimum-distance enumeration infeasible: 2^{k} codewords "
             f"(limit 2^{MAX_ENUM_DIMENSION})"
         )
+    floor = 1
+    if code.n * (code.n - 1) // 2 <= 1 << TABLE_DIMENSION:
+        small = _small_distance(code.H)
+        if small is not None:
+            return small
+        floor = 5
     basis = _pack_rows(code.basis)
     table, high = _span(basis[:TABLE_DIMENSION]), basis[TABLE_DIMENSION:]
     best = int(np.bitwise_count(table[1:]).sum(axis=1).min())
     acc = np.zeros_like(table[0])
     for i in range(1, 1 << len(high)):
+        if best == floor:
+            break
         acc ^= high[(i & -i).bit_length() - 1]
         best = min(best, int(np.bitwise_count(table ^ acc).sum(axis=1).min()))
     return best
@@ -258,16 +297,19 @@ def bit_flip_decode(
     unsatisfied over satisfied incident checks (ties to the lowest index);
     decoding stops when the syndrome vanishes, when no bit has a positive
     margin, or after max_iters flips.  Status "decoded" guarantees
-    H @ word = 0 over GF(2).
+    H @ word = 0 over GF(2).  received holds integers (or booleans), read
+    mod 2; any other dtype raises ValueError.
 
     The syndrome, the unsatisfied-check count and the margins are computed
     once from the code's incidence lists of H; a flip toggles only its own
     checks and moves the margins of their bits by 2 each.
     """
-    word = np.asarray(received, dtype=np.uint8) % 2
+    word = np.asarray(received)
+    if word.dtype.kind not in "biu":
+        raise ValueError(f"received word must hold integers, got dtype {word.dtype}")
     if word.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
-    word = word.copy()
+    word = (word & 1).astype(np.uint8)  # mod 2 before narrowing: 256 reads as 0, -1 as 1
     rows, n = code.H.shape
     checks, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
     syndrome = np.bincount(checks[word[bits] == 1], minlength=rows) & 1
@@ -292,7 +334,10 @@ def bit_flip_decode(
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Exact (exhaustively enumerated) distance next to the expander bounds.
+    """Exact distance next to the expander bounds.
+
+    true_distance is min_distance of the code (column collisions for d <= 4,
+    else enumeration): None at dimension 0 and past dimension 20.
 
     bound_holds is None (not applicable) unless the expansion premises were
     verified and the true distance was computable.
@@ -473,16 +518,17 @@ def read_alist(text: str) -> LinearCode:
 
     An empty line is an empty entry list (an all-zero column or row), and a
     0 entry is MacKay-style padding.  The row lists must describe the same
-    matrix as the column lists.  Malformed text raises ValueError naming
-    the alist line.
+    matrix as the column lists.  Every integer is ASCII, -?[0-9]+.
+    Malformed text raises ValueError naming the alist line.
     """
+    parse = _integer_parser(text)
     lines = text.splitlines()
 
     def ints(i: int, what: str) -> list[int]:
         if i >= len(lines):
             raise ValueError(f"alist line {i + 1} ({what}) is missing")
         try:
-            return [int(x) for x in lines[i].split()]
+            return [parse(x) for x in lines[i].split()]
         except ValueError:
             raise ValueError(f"alist line {i + 1} ({what}): expected integers") from None
 

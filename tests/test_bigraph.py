@@ -223,6 +223,10 @@ def test_edge_list_comments_and_errors():
         ("# c\nbip 0 2\n", 2, r"both sides must be nonempty, got sizes \(0, 2\)"),
         ("bip 2 2\ne 0 0\ne 0 5\n", 3, r"edge \(0, 5\) out of range for sides \(2, 2\)"),
         ("bip 2 2\ne -1 0\n", 2, r"edge \(-1, 0\) out of range"),
+        ("bip 1_1 2", 1, "expected integer sides, got '1_1' '2'"),
+        ("bip 4 4\ne +3 0", 2, "expected integer endpoints, got '\\+3' '0'"),
+        ("bip 4 4\ne \u0663 1", 2, "expected integer endpoints, got '\u0663' '1'"),
+        ("# \u00e9\nbip 2 2\ne 0 0\ne 0 1_0\n", 4, "expected integer endpoints, got '0' '1_0'"),
         ("bip 2 2\ne 1 1\n\ne 1 1\n", 4, r"duplicate edge \(1, 1\)"),
         ("", 1, "missing 'bip <n1> <n2>' header"),
         ("# only a comment\n", 2, "missing 'bip <n1> <n2>' header"),
@@ -241,9 +245,18 @@ def test_edge_list_side_cap_at_the_header():
             read_edge_list(f"# big\n{header}\ne 0 0\n")
 
 
+def _ascii_int(token: str) -> int:
+    """int restricted to ASCII -?[0-9]+ (int alone also reads '+1', '1_0'
+    and non-ASCII digits)."""
+    if not (token.isascii() and token.lstrip("-").isdigit() and token.count("-") <= 1):
+        raise ValueError(token)
+    return int(token)
+
+
 def _seed_read_edge_list(text: str) -> BipartiteGraph:
     """The reader read_edge_list replaced: a per-line generator whose pairs
-    are checked one by one as they are read, so every error names its line."""
+    are checked one by one as they are read, so every error names its line.
+    Every integer token is read by _ascii_int."""
     lines = enumerate(text.splitlines(), start=1)
     at = 0
 
@@ -256,7 +269,7 @@ def _seed_read_edge_list(text: str) -> BipartiteGraph:
             if len(parts) != 3 or parts[0] != "e":
                 raise ValueError("expected edge line 'e <left> <right>'")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _ascii_int(parts[1]), _ascii_int(parts[2])
             except ValueError:
                 raise ValueError(
                     f"expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
@@ -274,7 +287,7 @@ def _seed_read_edge_list(text: str) -> BipartiteGraph:
         if len(header) != 3 or header[0] != "bip":
             raise ValueError("expected header 'bip <n1> <n2>'")
         try:
-            n1, n2 = int(header[1]), int(header[2])
+            n1, n2 = _ascii_int(header[1]), _ascii_int(header[2])
         except ValueError:
             raise ValueError(f"expected integer sides, got {header[1]!r} {header[2]!r}") from None
         if max(n1, n2) > bigraph.MAX_SIDE:
@@ -312,7 +325,7 @@ _HEADER = st.one_of(
     st.sampled_from(
         [
             None, "bip 0 2", "bip 3 -1", "bip 100001 1", "bip 1 99999999999", "bip x 2",
-            "bip 2", "bop 2 2", "bip 2 2 2", "e 0 0",
+            "bip 2", "bop 2 2", "bip 2 2 2", "e 0 0", "bip 1_1 2", "bip +2 2", "bip 2 \u0663",
         ]
     ),
 )
@@ -320,7 +333,8 @@ _EDGE = st.builds("e {} {}".format, _END, _END)
 _JUNK = st.sampled_from(
     [
         "", "   ", "# comment", "#e 0 0", "  # e 9 9", "x 0 0", "E 1 1", "e 0", "e 0 0 0",
-        "e a 1", "e 1 1.5", "e 0 0 # note", "bip 2 2", "e +1 0", "e 1_0 0",
+        "e a 1", "e 1 1.5", "e 0 0 # note", "bip 2 2", "e +1 0", "e 1_0 0", "e \u0663 1",
+        "e -0 1", "e 01 0", "e --1 0", "# caf\u00e9 +_",
     ]
 )
 _LINE = st.one_of(_EDGE, _EDGE, _EDGE, st.builds("  e\t{} {}  ".format, _END, _END), _JUNK)

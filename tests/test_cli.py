@@ -159,13 +159,21 @@ def test_each_parity_check_matrix_reduced_once_per_command(tmp_path, monkeypatch
     graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph)
     out_json = tmp_path / "code.json"
     assert run(["code", "--graph", graph, "--json", str(out_json)]) == 0
-    # the distance reads the basis, which continues from the forward pass
-    assert (len(forward), len(back)) == (1, 1)
+    # d = 4 comes from collisions among H's columns, so the basis is never read
+    assert (len(forward), len(back)) == (1, 0)
     assert json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]["true_distance"] == 4
     forward.clear()
     back.clear()
     assert run(["code", "--pipeline", "8"]) == 0
+    assert (len(forward), len(back)) == (1, 0)
+    # the [15, 7, 5] BCH code: row r of H is 11010001 at bits r..r+7, and
+    # d = 5 is enumerated from the basis, which continues from the forward pass
+    forward.clear()
+    bch = bigraph.build(15, 8, [(r + i, r) for r in range(8) for i in (0, 1, 3, 7)])
+    graph = _write_graph(tmp_path, bch, "bch.bip")
+    assert run(["code", "--graph", graph, "--json", str(out_json)]) == 0
     assert (len(forward), len(back)) == (1, 1)
+    assert json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]["true_distance"] == 5
 
 
 def test_code_beyond_enumeration_never_derives_the_basis(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from bipspec.eccode import (
     LinearCode,
     _gf2_back_substitute,
     _gf2_echelon,
+    _small_distance,
     bit_flip_decode,
     codewords,
     construct_expander_code,
@@ -204,6 +205,26 @@ def test_bit_flip_zero_code_failure():
     assert status == "failed"
 
 
+def test_bit_flip_reads_integers_mod_2():
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    rng = random.Random(3)
+    for _ in range(20):
+        bits = [rng.randint(0, 1) for _ in range(code.n)]
+        wide = [b + 2 * rng.randint(-200, 200) for b in bits]
+        expected, expected_status = bit_flip_decode(code, np.array(bits, dtype=np.uint8), 20)
+        arrays = (np.array(wide), np.array(wide, dtype=np.int16), np.array(bits, dtype=bool))
+        for received in (wide, *arrays):
+            decoded, status = bit_flip_decode(code, received, 20)
+            assert status == expected_status and np.array_equal(decoded, expected)
+    eye = LinearCode.from_matrix(np.eye(2, dtype=np.uint8))
+    for received in ([256, 0], [-1, 0], np.array([256, 1]), [2**63 - 1, 0]):
+        decoded, _ = bit_flip_decode(eye, received, 0)
+        assert decoded.tolist() == [int(x) % 2 for x in received]
+    for received in ([1.0, 0.0], np.zeros(2), ["1", "0"]):
+        with pytest.raises(ValueError, match="must hold integers"):
+            bit_flip_decode(eye, received, 5)
+
+
 def test_pipeline_n8():
     pipe = construct_expander_code(8)
     assert pipe.base.n1 == 8 and pipe.base.n2 == 4
@@ -325,6 +346,21 @@ def test_alist_rejects_row_lists_that_disagree():
     # a correct row half is accepted, with MacKay zero padding
     assert read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n").H.tolist() == [[1, 0], [0, 1]]
     assert read_alist("2 1\n1 2\n1 1\n2\n1 0\n1\n1 2\n").H.tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("2_0 1\n1 2\n1 1\n2\n1\n1\n1 2\n", r"alist line 1 .*: expected integers"),
+        ("2 1\n1 2\n1 +1\n2\n1\n1\n1 2\n", r"alist line 3 \(column weights\): expected integers"),
+        ("2 1\n1 2\n1 1\n2\n\u0661\n1\n1 2\n", r"alist line 5 \(column 0 entries\): expected integers"),
+        ("2 1\n1 2\n1 1\n2\n-1\n1\n1 2\n", r"alist line 5 \(column 0 entries\): index outside 1..1"),
+    ],
+)
+def test_alist_reads_ascii_integers_only(text, match):
+    with pytest.raises(ValueError, match=match):
+        read_alist(text)
+    assert read_alist("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n").H.tolist() == [[1, 1]]
 
 
 def test_pchk_rejects_zero_block_length():
@@ -582,6 +618,96 @@ def test_min_distance_matches_gray_code_enumerator(n):
         code = _code_of_dimension(n, k, p, rng)
         assert code.dimension == k
         assert min_distance(code) == _gray_min_weight(_int_nullspace(code.H), n)
+
+
+def _cyclic_parity_check(n: int, g: int) -> np.ndarray:
+    """H of the cyclic [n, n - deg g] code with generator polynomial g (bit i
+    is the coefficient of x^i): row r holds h(x) = (x^n + 1) / g(x), highest
+    coefficient first, at columns r .. r + deg h."""
+    h, rest = 0, (1 << n) | 1
+    while rest.bit_length() >= g.bit_length():
+        shift = rest.bit_length() - g.bit_length()
+        h |= 1 << shift
+        rest ^= g << shift
+    assert rest == 0
+    k = h.bit_length() - 1
+    H = np.zeros((n - k, n), dtype=np.uint8)
+    for r in range(n - k):
+        H[r, r : r + k + 1] = [h >> (k - i) & 1 for i in range(k + 1)]
+    return H
+
+
+BCH_15_7 = _cyclic_parity_check(15, 0b111010001)  # [15, 7, 5]
+BCH_31_21 = _cyclic_parity_check(31, 0b11101101001)  # [31, 21, 5], g = m1 * m3
+HAMMING_7_4 = np.array([[(c >> b) & 1 for c in range(1, 8)] for b in range(3)], dtype=np.uint8)
+
+
+def _extended(H: np.ndarray) -> np.ndarray:
+    """H of the code extended by an overall parity bit, which makes an odd
+    distance even."""
+    rows, n = H.shape
+    extended = np.zeros((rows + 1, n + 1), dtype=np.uint8)
+    extended[:rows, :n] = H
+    extended[rows] = 1
+    return extended
+
+
+def _small_distance_cases():
+    """(name, H) for codes of dimension 1..20 whose distances run 1..5 and
+    beyond.  The [31, 21] BCH code shortened to 30, 26 and 23 bits (k = 20,
+    16, 13 > 12) has d = 5, which stops the Gray code early.  Up to 91
+    columns (4095 pairs) min_distance runs the collision search first; the
+    92-bit code is past that, so it is enumerated alone."""
+    rng = np.random.default_rng(10)
+    zero_column = (rng.random((6, 12)) < 0.5).astype(np.uint8)
+    zero_column[:, 7] = 0
+    repeated = (rng.random((8, 14)) < 0.5).astype(np.uint8)
+    repeated[:, 11] = repeated[:, 2]
+    cases = [
+        ("zero column", zero_column),
+        ("repeated column", repeated),
+        ("Hamming [7,4,3]", HAMMING_7_4),
+        ("extended Hamming [8,4,4]", _extended(HAMMING_7_4)),
+        ("BCH [15,7,5]", BCH_15_7),
+        ("extended BCH [16,7,6]", _extended(BCH_15_7)),
+        *((f"shortened BCH [{31 - s},{21 - s}]", BCH_31_21[:, s:]) for s in (1, 5, 8)),
+    ]
+    for n, k in ((20, 5), (36, 12), (44, 14), (64, 20), (91, 20), (92, 17)):
+        cases.append((f"random [{n},{k}]", _code_of_dimension(n, k, 0.5, rng).H))
+    return cases
+
+
+def test_min_distance_matches_gray_code_enumerator_at_every_small_distance():
+    distances = []
+    for name, H in _small_distance_cases():
+        code = LinearCode.from_matrix(H)
+        assert 1 <= code.dimension <= 20, name
+        expected = _gray_min_weight(_int_nullspace(code.H), code.n)
+        assert min_distance(code) == expected, name
+        assert _small_distance(code.H) == (expected if expected <= 4 else None), name
+        distances.append(expected)
+    assert set(range(1, 6)) <= set(distances) and max(distances) >= 6
+
+
+def _round_robin_code(n1: int) -> LinearCode:
+    split = vertex_split(complete_bipartite(n1, n1 // 2), "round-robin", 0)
+    return parity_check_from_graph(split.split_graph)
+
+
+def test_round_robin_split_has_distance_four():
+    # every window of h = n1/2 cyclic checks holds one of i, i + h and one of
+    # i + 1, i + h + 1, so those four columns of H sum to zero
+    for n1 in (8, 26, 64, 100):
+        code = _round_robin_code(n1)
+        h = n1 // 2
+        for i in range(n1):
+            word = np.zeros(n1, dtype=np.uint8)
+            word[[i, (i + 1) % n1, (i + h) % n1, (i + h + 1) % n1]] = 1
+            assert not (code.H.astype(int) @ word % 2).any()
+        assert _small_distance(code.H) == 4
+    assert _round_robin_code(100).dimension > 20
+    for n1 in range(8, 43, 2):
+        assert min_distance(_round_robin_code(n1)) == 4
 
 
 def _regular_code(n: int, rng: random.Random) -> LinearCode:
