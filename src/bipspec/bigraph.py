@@ -320,17 +320,56 @@ def write_edge_list(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Canonical edge-list text, exactly as write_edge_list emits it: single
+# spaces, a newline after every line, and ASCII integers of at most six
+# digits, so no side or endpoint can overflow int64 (MAX_SIDE has six).
+_CANONICAL = re.compile(r"bip ([0-9]{1,6}) ([0-9]{1,6})\n((?:e [0-9]{1,6} [0-9]{1,6}\n)*)")
+
+
 def read_edge_list(text: str) -> BipartiteGraph:
     """Parse the `bip` edge-list format; `#` comment lines are ignored.
 
-    One pass over the lines parses the header and the edges; the range and
-    duplicate checks then run on all edges at once.  Sides and endpoints are
-    ASCII integers, -?[0-9]+.  Malformed text raises
+    Sides and endpoints are ASCII integers, -?[0-9]+.  Malformed text raises
     ValueError starting with `line N:`, counting every line of the text from
     1, for the first offending line: a parse error on a later line than a
     bad edge is not reported.  A side above MAX_SIDE is refused at the
     header, before anything is allocated.
+
+    Two paths read the text, chosen from the input alone.  Canonical text
+    (what write_edge_list emits) is matched by one regex, its endpoints are
+    converted in one numpy call and checked in bulk.  Any other text, and
+    canonical text that fails a check, is read line by line; that walk
+    builds every error message, so both paths give the same graph or the
+    same error.
     """
+    graph = _read_canonical(text)
+    return graph if graph is not None else _read_lines(text)
+
+
+def _read_canonical(text: str) -> BipartiteGraph | None:
+    """The graph of canonical edge-list text, or None when the text is not
+    canonical or fails a side, range or duplicate check."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    n1, n2 = int(match[1]), int(match[2])
+    if not (1 <= n1 <= MAX_SIDE and 1 <= n2 <= MAX_SIDE):
+        return None
+    # the body holds only 'e', digits, spaces and newlines
+    ends = np.fromstring(match[3].replace("e", " "), dtype=np.int64, sep=" ")
+    left, right = ends[0::2], ends[1::2]
+    if left.size and (left.max() >= n1 or right.max() >= n2):
+        return None
+    edges = frozenset(zip(left.tolist(), right.tolist()))
+    if len(edges) != left.size:  # a duplicate edge
+        return None
+    return BipartiteGraph(n1, n2, edges)
+
+
+def _read_lines(text: str) -> BipartiteGraph:
+    """read_edge_list's line walk: one pass over the lines parses the header
+    and the edges; the range and duplicate checks then run on all edges at
+    once, and the first bad pair is named by its line."""
     parse = _integer_parser(text)
     lines = enumerate(text.splitlines(), start=1)
     at = 0  # the line being read

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, _integer_parser, complete_bipartite
+from .bigraph import MAX_SIDE, BipartiteGraph, _integer_parser, complete_bipartite
 from .expansion import LosslessParams, lossless_parameters
 from .vsplit import VertexSplitResult, vertex_split
 
@@ -462,7 +462,9 @@ def read_pchk(text: str) -> LinearCode:
     """Parse the dense format, skipping blank lines and `#` comments.
 
     Malformed text raises ValueError naming the pchk line (counting every
-    line of the text from 1).
+    line of the text from 1).  A block length above bigraph.MAX_SIDE is
+    refused at the header, and every row is checked before H is allocated,
+    so H is never larger than the text.
     """
     lines = [
         (at, line)
@@ -478,14 +480,17 @@ def read_pchk(text: str) -> LinearCode:
     rows, cols = int(match[1]), int(match[2])
     if cols == 0:
         raise ValueError(f"pchk line {at}: block length must be >= 1, got 0 columns")
+    if cols > MAX_SIDE:
+        raise ValueError(f"pchk line {at}: block length {cols} exceeds the limit {MAX_SIDE}")
     if len(lines) != rows + 1:
         raise ValueError(f"pchk line {at}: expected {rows} matrix rows, got {len(lines) - 1}")
-    H = np.zeros((rows, cols), dtype=np.uint8)
+    matrix_rows = []
     for r, (at, line) in enumerate(lines[1:]):
         bits = np.frombuffer(line.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
         if bits.size != cols or (bits > 1).any():
             raise ValueError(f"pchk line {at} (row {r}): expected {cols} characters of 0/1")
-        H[r] = bits
+        matrix_rows.append(bits)
+    H = np.array(matrix_rows, dtype=np.uint8).reshape(rows, cols)
     return LinearCode.from_matrix(H)
 
 

@@ -314,9 +314,16 @@ def _outcome(read, text: str):
 
 
 # strategies are repeated inside one_of to weight the branches toward text
-# that parses, so that equal graphs are compared as often as equal errors
+# that parses, so that equal graphs are compared as often as equal errors;
+# '-0' and endpoints of seven or more digits must bypass the canonical-text
+# path and be read by the line walk
 _IN_RANGE = st.integers(0, 3)
-_END = st.one_of(_IN_RANGE, _IN_RANGE, _IN_RANGE, st.sampled_from([-1, 4, 5]))
+_END = st.one_of(
+    _IN_RANGE,
+    _IN_RANGE,
+    _IN_RANGE,
+    st.sampled_from([-1, 4, 5, 1000000, 18446744073709551616, "0000001", "-0"]),
+)
 _SIDES = st.builds("bip {} {}".format, st.integers(1, 4), st.integers(1, 4))
 _HEADER = st.one_of(
     _SIDES,
@@ -340,17 +347,49 @@ _JUNK = st.sampled_from(
 _LINE = st.one_of(_EDGE, _EDGE, _EDGE, st.builds("  e\t{} {}  ".format, _END, _END), _JUNK)
 
 
-@settings(max_examples=400, deadline=None)
-@given(
+def _text(lead, header, body, newline, trailing):
+    text = newline.join(lead + ([header] if header is not None else []) + body)
+    return text + (newline if trailing else "")
+
+
+_ANY_TEXT = st.builds(
+    _text,
     st.lists(st.sampled_from(["", "# c", "  "]), max_size=2),
     _HEADER,
     st.lists(_LINE, max_size=12),
     st.sampled_from(["\n", "\r\n"]),
     st.booleans(),
 )
-def test_edge_list_reader_matches_seed_reader(lead, header, body, newline, trailing):
-    text = newline.join(lead + ([header] if header is not None else []) + body)
-    text += newline if trailing else ""
+
+
+@st.composite
+def _canonical_text(draw) -> str:
+    """Text shaped as write_edge_list writes it, the canonical-text path's
+    input.  It must still fall back on a bad side, an out-of-range or
+    duplicate edge, a missing final newline, or the one line that may be
+    spoiled by a long or signed token or by a missing line break."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = draw(
+        st.sampled_from([f"bip {n1} {n2}"] * 4 + ["bip 0 2", "bip 100001 1", "bip 1 1e 0 0"])
+    )
+    # mostly in range; side n is one past the end
+    left = st.one_of(st.integers(0, n1 - 1), st.integers(0, n1 - 1), st.just(n1))
+    right = st.one_of(st.integers(0, n2 - 1), st.integers(0, n2 - 1), st.just(n2))
+    body = draw(st.lists(st.builds("e {} {}".format, left, right), max_size=8))
+    spoiler = draw(
+        st.sampled_from(
+            [None] * 6
+            + ["e 1000000 0", "e 18446744073709551616 0", "e 0000001 0", "e -0 1", "e 0 0e 1 0"]
+        )
+    )
+    if spoiler is not None:
+        body.insert(draw(st.integers(0, len(body))), spoiler)
+    return _text([], header, body, "\n", draw(st.sampled_from([True, True, True, False])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ANY_TEXT, _canonical_text()))
+def test_edge_list_reader_matches_seed_reader(text):
     assert _outcome(read_edge_list, text) == _outcome(_seed_read_edge_list, text)
 
 
@@ -376,3 +415,22 @@ def test_edge_list_reports_the_first_bad_line():
     assert _outcome(read_edge_list, "bip 2 2\ne 0 1\ne 1 1\ne 5 0\ne 0 1\n") == (
         "ValueError: line 4: edge (5, 0) out of range for sides (2, 2)"
     )
+
+
+def test_edge_list_reader_paths_agree_at_scale():
+    # 3,000 edges of a 100 x 60 graph, from write_edge_list: the
+    # canonical-text path reads it, and pushing one endpoint near the end
+    # out of range sends it to the line walk, whose error names that line
+    rng = random.Random(11)
+    pairs = rng.sample([(u, v) for u in range(100) for v in range(60)], 3000)
+    g = build(100, 60, pairs)
+    text = write_edge_list(g)
+    assert bigraph._read_canonical(text) == g
+    assert read_edge_list(text) == g and write_edge_list(read_edge_list(text)) == text
+    lines = text.splitlines(keepends=True)
+    u, v = g.sorted_edges()[2990]
+    lines[2991] = f"e {u} 60\n"  # line 2992 of the file
+    bad = "".join(lines)
+    assert bigraph._read_canonical(bad) is None
+    expected = f"ValueError: line 2992: edge ({u}, 60) out of range for sides (100, 60)"
+    assert _outcome(read_edge_list, bad) == expected == _outcome(_seed_read_edge_list, bad)

@@ -5,10 +5,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import build, complete_bipartite
+from bipspec.bigraph import MAX_SIDE, build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
     _gf2_back_substitute,
@@ -388,6 +388,69 @@ def test_pchk_errors_name_the_line():
     for bad in ("110", "1", "1 1", "12", "1\u00e9", "\u0661\u0660"):
         with pytest.raises(ValueError, match=r"pchk line 3 \(row 1\): expected 2 characters of 0/1"):
             read_pchk(f"pchk 2 2\n01\n{bad}\n")
+
+
+def test_pchk_refuses_a_block_length_above_the_side_limit():
+    assert read_pchk(f"pchk 0 {MAX_SIDE}\n").n == MAX_SIDE
+    refused = rf"^pchk line 2: block length \d+ exceeds the limit {MAX_SIDE}$"
+    for header in (f"pchk 0 {MAX_SIDE + 1}", "pchk 0 99999999999", "pchk 2 99999999999"):
+        with pytest.raises(ValueError, match=refused):
+            read_pchk(f"# big\n{header}\n")
+
+
+def test_pchk_checks_row_widths_before_allocating():
+    # a 10^5 x 10^5 header over short rows fails at the first row, with no
+    # 10 GB matrix allocated first
+    with pytest.raises(ValueError, match=rf"^pchk line 2 \(row 0\): expected {MAX_SIDE} characters"):
+        read_pchk(f"pchk {MAX_SIDE} {MAX_SIDE}\n" + "0\n" * MAX_SIDE)
+    # the first bad row is named, whether its width or a character is wrong
+    for text, row in (("11\n1x\n111\n", 1), ("11\n111\n1x\n", 1), ("1x\n111\n11\n", 0)):
+        with pytest.raises(ValueError, match=rf"^pchk line {row + 2} \(row {row}\): expected 2"):
+            read_pchk("pchk 3 2\n" + text)
+
+
+def _random_code(data, max_rows: int, max_cols: int) -> LinearCode:
+    rows = data.draw(st.integers(0, max_rows), label="rows")
+    cols = data.draw(st.integers(1, max_cols), label="cols")
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return LinearCode.from_matrix((rng.random((rows, cols)) < density).astype(np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pchk_write_read_roundtrip(data):
+    code = _random_code(data, 40, 90)
+    text = write_pchk(code)
+    again = read_pchk(text)
+    assert again == code and write_pchk(again) == text
+
+
+@st.composite
+def _near_code_text(draw) -> str:
+    """pchk or alist text of a small random code, with one line replaced,
+    the text cut short, or both."""
+    code = _random_code(draw(st.data()), 4, 5)
+    lines = draw(st.sampled_from([write_pchk, write_alist]))(code).splitlines()
+    if draw(st.booleans()):
+        junk = st.sampled_from(["", "#", "0", "-1", "1 1", "99999999999", "pchk 0 99999999999"])
+        line = st.one_of(junk, st.text("0123456789 -#", max_size=8), st.text(max_size=6))
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(line)
+    if draw(st.booleans()):
+        lines = lines[: draw(st.integers(0, len(lines)))]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@pytest.mark.parametrize("read", [read_pchk, read_alist])
+@settings(max_examples=200, deadline=None)
+@example(text="pchk 0 99999999999\n")
+@given(text=st.one_of(st.text(max_size=40), _near_code_text()))
+def test_code_readers_return_a_code_or_a_value_error(read, text):
+    try:
+        code = read(text)
+    except ValueError:
+        return
+    assert isinstance(code, LinearCode)
 
 
 def test_from_matrix_rejects_zero_columns():
@@ -822,12 +885,7 @@ def _nonzero_write_alist(code: LinearCode) -> str:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_alist_writer_matches_per_column_writer(data):
-    rows = data.draw(st.integers(0, 12), label="rows")
-    cols = data.draw(st.integers(1, 15), label="cols")
-    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="density")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    H = (rng.random((rows, cols)) < density).astype(np.uint8)
-    code = LinearCode.from_matrix(H)
+    code = _random_code(data, 12, 15)
     text = write_alist(code)
     assert text == _nonzero_write_alist(code)
     assert read_alist(text) == code
