@@ -20,6 +20,9 @@ import numpy as np
 # anything is allocated.  Every command builds per-vertex lists and dense
 # matrices, so sides in the hundreds are desk scale and 10**5 is a wide margin.
 MAX_SIDE = 10**5
+# Largest dense rows x cols parity-check matrix `eccode.read_alist` allocates
+# from its header: 10**8 uint8 cells is 100 MB, far past desk-scale codes.
+MAX_DENSE_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -248,10 +251,13 @@ def _tree_edges(rng: random.Random, n1: int, n2: int) -> list[tuple[int, int]]:
 def edge_connectivity(g: BipartiteGraph) -> int:
     """Edge connectivity via unit-capacity max-flow (Edmonds-Karp).
 
-    Fixing source 0, the minimum s-t cut over all sinks t equals the global
-    minimum edge cut.  The minimum degree bounds that cut, and each s-t flow
-    stops once it reaches the best cut found so far: a larger flow could not
-    lower the minimum.  Returns 0 for disconnected input.
+    The minimum degree delta bounds the minimum edge cut.  If a smaller cut
+    [S, S'] exists, each side holds a vertex with no neighbour across it, so
+    every dominating set meets both sides (Esfahanian & Hakimi 1984; Matula
+    1987).  Flows from vertex 0 to the other members of a greedy dominating
+    set that contains 0 therefore find the minimum cut; each flow stops once
+    it reaches the best cut found so far, starting at delta, since a larger
+    flow could not lower the minimum.  Returns 0 for disconnected input.
     """
     if not g.is_connected():
         return 0
@@ -259,9 +265,23 @@ def edge_connectivity(g: BipartiteGraph) -> int:
         return 0
     adj = _vertex_adjacency(g)
     best = min(len(nb) for nb in adj)
-    for sink in range(1, g.n):
+    for sink in _dominating_set(adj)[1:]:
         best = _max_flow_unit(adj, 0, sink, best)
     return best
+
+
+def _dominating_set(adj: list[list[int]]) -> list[int]:
+    """A dominating set, greedily in vertex order: vertex 0 first, then each
+    vertex that no member or member's neighbour covers yet."""
+    covered = [False] * len(adj)
+    members = []
+    for x, nb in enumerate(adj):
+        if not covered[x]:
+            members.append(x)
+            covered[x] = True
+            for y in nb:
+                covered[y] = True
+    return members
 
 
 def _max_flow_unit(adj: list[list[int]], s: int, t: int, limit: int) -> int:

@@ -8,15 +8,23 @@ null space of H over GF(2); there is no generator-matrix path.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import operator
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .bigraph import MAX_SIDE, BipartiteGraph, _integer_parser, complete_bipartite
+from .bigraph import (
+    MAX_DENSE_CELLS,
+    MAX_SIDE,
+    BipartiteGraph,
+    _integer_parser,
+    complete_bipartite,
+)
 from .expansion import LosslessParams, lossless_parameters
 from .vsplit import VertexSplitResult, vertex_split
 
@@ -38,6 +46,20 @@ class _Incidence(NamedTuple):
     bit_checks: np.ndarray
     bit_start: np.ndarray
     col_weight: np.ndarray
+
+
+class _Adjacency(NamedTuple):
+    """_Incidence's check-major and bit-major lists as flat int arrays of the
+    standard library, which the decoder's inner loop indexes and slices
+    without numpy's per-call cost, and the largest column weight.  One flat
+    array per list (not one list per check) keeps the per-code memory at
+    8 bytes an entry."""
+
+    bits: array
+    check_start: array
+    bit_checks: array
+    bit_start: array
+    max_weight: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +114,13 @@ class LinearCode:
             np.concatenate(([0], np.cumsum(col_weight))),
             col_weight,
         )
+
+    @functools.cached_property
+    def _adjacency(self) -> _Adjacency:
+        inc = self._incidence
+        lists = (inc.bits, inc.check_start, inc.bit_checks, inc.bit_start)
+        top = int(inc.col_weight.max(initial=0))
+        return _Adjacency(*(array("q", a.tolist()) for a in lists), top)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
@@ -301,8 +330,14 @@ def bit_flip_decode(
     mod 2; any other dtype raises ValueError.
 
     The syndrome, the unsatisfied-check count and the margins are computed
-    once from the code's incidence lists of H; a flip toggles only its own
-    checks and moves the margins of their bits by 2 each.
+    once with numpy from the code's incidence lists of H, then kept as
+    Python data: the syndrome as a bytearray, the margins as a list of ints.
+    Each positive margin value v keeps a min-heap of the bits whose margin
+    is v; an entry whose bit has since moved to another margin is dropped
+    when it reaches the top.  The next flip is therefore the smallest bit in
+    the highest non-empty heap, the first maximum that np.argmax would pick.
+    A flip toggles only its own checks and moves the margins of their bits
+    by 2 each, pushing each bit whose margin becomes positive.
     """
     word = np.asarray(received)
     if word.dtype.kind not in "biu":
@@ -311,25 +346,49 @@ def bit_flip_decode(
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = (word & 1).astype(np.uint8)  # mod 2 before narrowing: 256 reads as 0, -1 as 1
     rows, n = code.H.shape
-    checks, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
-    syndrome = np.bincount(checks[word[bits] == 1], minlength=rows) & 1
-    unsatisfied = int(syndrome.sum())
-    margin = 2 * np.bincount(bits[syndrome[checks] == 1], minlength=n) - col_weight
+    checks, bits, _, _, _, col_weight = code._incidence
+    odd = (np.bincount(checks[word.view(bool)[bits]], minlength=rows) & 1).astype(bool)
+    unsatisfied = int(np.count_nonzero(odd))
+    if not unsatisfied:
+        return word, "decoded"
+    margins = 2 * np.bincount(bits[odd[checks]], minlength=n) - col_weight
+    check_bits, check_start, bit_checks, bit_start, top = code._adjacency
+    syndrome, margin = bytearray(odd), margins.tolist()
+    heaps: list[list[int]] = [[] for _ in range(top + 1)]
+    for x in np.flatnonzero(margins > 0).tolist():
+        heaps[margin[x]].append(x)  # ascending, so each list is a heap
+    out = bytearray(word)
     flips = 0
-    while unsatisfied:
-        if flips >= max_iters:
-            return word, "failed"
-        best = int(np.argmax(margin))
-        if margin[best] <= 0:
-            return word, "failed"
-        word[best] ^= 1
+    while unsatisfied and flips < max_iters:
+        while top > 0:
+            heap = heaps[top]
+            while heap and margin[heap[0]] != top:
+                heapq.heappop(heap)
+            if heap:
+                break
+            top -= 1
+        else:
+            break  # no positive margin
+        best = heapq.heappop(heap)  # its margin turns to -top
+        out[best] ^= 1
         flips += 1
-        for j in bit_checks[bit_start[best] : bit_start[best + 1]].tolist():
-            syndrome[j] ^= 1
-            step = 1 if syndrome[j] else -1
-            unsatisfied += step
-            margin[bits[check_start[j] : check_start[j + 1]]] += 2 * step
-    return word, "decoded"
+        for j in bit_checks[bit_start[best] : bit_start[best + 1]]:
+            if syndrome[j]:
+                syndrome[j] = 0
+                unsatisfied -= 1
+                step = -2
+            else:
+                syndrome[j] = 1
+                unsatisfied += 1
+                step = 2
+            for x in check_bits[check_start[j] : check_start[j + 1]]:
+                m = margin[x] + step
+                margin[x] = m
+                if m > 0:
+                    heapq.heappush(heaps[m], x)
+                    if m > top:
+                        top = m
+    return np.frombuffer(out, dtype=np.uint8), "failed" if unsatisfied else "decoded"
 
 
 @dataclass(frozen=True)
@@ -524,7 +583,10 @@ def read_alist(text: str) -> LinearCode:
     An empty line is an empty entry list (an all-zero column or row), and a
     0 entry is MacKay-style padding.  The row lists must describe the same
     matrix as the column lists.  Every integer is ASCII, -?[0-9]+.
-    Malformed text raises ValueError naming the alist line.
+    Malformed text raises ValueError naming the alist line.  A side above
+    bigraph.MAX_SIDE, or an H of more than bigraph.MAX_DENSE_CELLS cells, is
+    refused at the header, and every entry line is checked before H is
+    allocated.
     """
     parse = _integer_parser(text)
     lines = text.splitlines()
@@ -551,21 +613,33 @@ def read_alist(text: str) -> LinearCode:
     cols, rows = header
     if cols == 0:
         raise ValueError("alist line 1: block length must be >= 1, got 0 columns")
+    if max(cols, rows) > MAX_SIDE:
+        raise ValueError(f"alist line 1: side sizes ({cols}, {rows}) exceed the limit {MAX_SIDE}")
+    if rows * cols > MAX_DENSE_CELLS:
+        raise ValueError(
+            f"alist line 1: a {rows} x {cols} H exceeds the limit of {MAX_DENSE_CELLS} cells"
+        )
     col_weights = ints(2, "column weights")
     if len(col_weights) != cols:
-        raise ValueError(f"expected {cols} column weights, got {len(col_weights)}")
+        raise ValueError(f"alist line 3: expected {cols} column weights, got {len(col_weights)}")
     row_weights = ints(3, "row weights")
     if len(row_weights) != rows:
-        raise ValueError(f"expected {rows} row weights, got {len(row_weights)}")
+        raise ValueError(f"alist line 4: expected {rows} row weights, got {len(row_weights)}")
+    col_lists = [
+        entries(4 + c, f"column {c} entries", col_weights[c], rows) for c in range(cols)
+    ]
+    row_lists = [
+        entries(4 + cols + r, f"row {r} entries", row_weights[r], cols) for r in range(rows)
+    ]
     H = np.zeros((rows, cols), dtype=np.uint8)
-    for c in range(cols):
-        for r in entries(4 + c, f"column {c} entries", col_weights[c], rows):
+    for c, found in enumerate(col_lists):
+        for r in found:
             H[r - 1, c] = 1
-    for r in range(rows):
-        i = 4 + cols + r
-        found = entries(i, f"row {r} entries", row_weights[r], cols)
+    for r, found in enumerate(row_lists):
         if sorted(found) != [c + 1 for c in np.flatnonzero(H[r])]:
-            raise ValueError(f"alist line {i + 1} (row {r} entries) disagrees with the column lists")
+            raise ValueError(
+                f"alist line {5 + cols + r} (row {r} entries) disagrees with the column lists"
+            )
     return LinearCode.from_matrix(H)
 
 

@@ -18,6 +18,7 @@ from bipspec.bigraph import (
     read_edge_list,
     write_edge_list,
 )
+from bipspec.vsplit import SPLIT_RULES, vertex_split
 
 
 def test_build_complete_k22():
@@ -197,6 +198,87 @@ def test_edge_connectivity_properties():
         kappa = edge_connectivity(g)
         assert kappa == min(m, n)
         assert kappa <= g.degree_profile().delta
+
+
+def _all_sinks_edge_connectivity(g) -> int:
+    """The loop edge_connectivity ran before it used a dominating set: flows
+    from vertex 0 to every other vertex, capped by the best cut so far."""
+    if not g.is_connected():
+        return 0
+    adj = bigraph._vertex_adjacency(g)
+    best = min(len(nb) for nb in adj)
+    for sink in range(1, g.n):
+        best = bigraph._max_flow_unit(adj, 0, sink, best)
+    return best
+
+
+def _random_graph(rng: random.Random, n1: int, n2: int, p: float):
+    return build(n1, n2, [(u, v) for u in range(n1) for v in range(n2) if rng.random() < p])
+
+
+def _bridged_blocks(rng: random.Random):
+    """Two dense random blocks joined by fewer edges than their minimum
+    degree, so the minimum cut lies below delta."""
+    a, b = rng.randint(3, 6), rng.randint(3, 6)
+    edges = [(u, v) for u in range(a) for v in range(a) if rng.random() < 0.9]
+    edges += [(u, v) for u in range(a, a + b) for v in range(a, a + b) if rng.random() < 0.9]
+    crossing = [(u, v) for u in range(a) for v in range(a, a + b)]
+    crossing += [(u, v) for u in range(a, a + b) for v in range(a)]
+    edges += rng.sample(crossing, rng.randint(1, 2))
+    return build(a + b, a + b, edges)
+
+
+def _connectivity_corpus():
+    rng = random.Random(57)
+    graphs = []
+    for n in range(2, 40):
+        for mode in ("balanced", "unbalanced") + ("average",) * (n % 4 == 0):
+            graphs.append(random_tree(n, mode, rng.randrange(1000)))
+    graphs += [complete_bipartite(1, n) for n in range(1, 9)]
+    graphs += [complete_bipartite(n, 1) for n in range(2, 9)]
+    graphs += [complete_bipartite(m, n) for m in range(2, 7) for n in range(2, 7)]
+    for _ in range(80):
+        base = _random_graph(rng, rng.randint(2, 7), rng.randint(2, 7), rng.choice((0.5, 0.8)))
+        if base.m:
+            rule = rng.choice(SPLIT_RULES)
+            graphs.append(vertex_split(base, rule, rng.randrange(100)).split_graph)
+    for _ in range(60):  # mostly disconnected
+        g = _random_graph(rng, rng.randint(2, 8), rng.randint(2, 8), 0.15)
+        if g.m:
+            graphs.append(g)
+    for _ in range(80):
+        graphs.append(_random_graph(rng, rng.randint(2, 9), rng.randint(2, 9), rng.choice((0.4, 0.7))))
+    graphs += [_bridged_blocks(rng) for _ in range(80)]
+    return graphs
+
+
+def test_edge_connectivity_matches_all_sinks_loop():
+    graphs = _connectivity_corpus()
+    assert len(graphs) >= 400
+    seen = {"disconnected": 0, "below_delta": 0, "at_delta": 0}
+    for g in graphs:
+        kappa = edge_connectivity(g)
+        assert kappa == _all_sinks_edge_connectivity(g)
+        delta = g.degree_profile().delta
+        if not g.is_connected():
+            seen["disconnected"] += 1
+        elif kappa < delta:
+            seen["below_delta"] += 1
+        else:
+            seen["at_delta"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_dominating_set_covers_every_vertex():
+    for g in _connectivity_corpus()[::7]:
+        adj = bigraph._vertex_adjacency(g)
+        members = bigraph._dominating_set(adj)
+        assert members[0] == 0 and members == sorted(set(members))
+        covered = set()
+        for x in members:  # greedy: no member is covered by an earlier one
+            assert x not in covered
+            covered |= {x, *adj[x]}
+        assert covered == set(range(g.n))
 
 
 def test_edge_list_roundtrip_bytes():

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from bipspec import bigraph, eccode, expansion, spectra
+from bipspec import bigraph, eccode, expansion, spectra, vsplit
 from bipspec.cli import run
 from bipspec.vsplit import vertex_split
 
@@ -322,3 +327,150 @@ def test_run_report_schema(tmp_path):
     report = json.loads(out_json.read_text(encoding="utf-8"))
     assert set(report) == {"command", "inputs", "findings", "violations", "exit_status"}
     assert report["command"] == "bounds"
+
+
+# The exit contract over generated command lines.  Tokens in braces name
+# files the test makes for each example: {graph} holds a small generated
+# graph, {malformed} generated text, {binary} bytes that are not UTF-8,
+# {dir} a directory, {out} a writable directory; {missing} does not exist.
+# Each flag has a strategy for values the command accepts and one for values
+# it must refuse; numbers stay small, so every command finishes in
+# milliseconds.
+_BAD_FILE = st.sampled_from(["{malformed}", "{binary}", "{dir}", "{missing}/g.bip"])
+_GOOD_OUT = st.sampled_from(["{out}/r", "{out}/r.json"])
+_BAD_OUT = st.sampled_from(["{dir}", "{missing}/r.json", ""])
+_BAD_INT = st.sampled_from(["-3", "-1", "0", "x", "1.5", ""])
+_BAD_CHOICE = st.sampled_from(["bogus", ""])
+
+
+def _flag(name: str, good, bad=_BAD_INT):
+    return name, good, bad
+
+
+def _ints(lo: int, hi: int, count: int = 1):
+    return st.lists(st.integers(lo, hi), min_size=count, max_size=count)
+
+
+_GRAPH = _flag("--graph", st.just("{graph}"), _BAD_FILE)
+_JSON = _flag("--json", _GOOD_OUT, _BAD_OUT)
+# command: (flags of which exactly one is required, optional flags)
+_FLAGS = {
+    "gen": (
+        [
+            _flag("--complete", _ints(1, 6, 2), _ints(-2, 0, 2)),
+            _flag("--path", _ints(2, 20)),
+            _flag("--tree", _ints(2, 20)),
+        ],
+        [
+            _flag("--mode", st.sampled_from(bigraph.TREE_MODES), _BAD_CHOICE),
+            _flag("--seed", _ints(0, 9)),
+            _flag("--out", _GOOD_OUT, _BAD_OUT),
+            _JSON,
+        ],
+    ),
+    "spectrum": (
+        [_GRAPH],
+        [
+            _flag("--matrix", st.sampled_from(["adjacency", "laplacian", "signless-laplacian"]), _BAD_CHOICE),
+            _JSON,
+        ],
+    ),
+    "bounds": ([_GRAPH], [_JSON]),
+    "split": (
+        [_GRAPH],
+        [
+            _flag("--rule", st.sampled_from(vsplit.SPLIT_RULES), _BAD_CHOICE),
+            _flag("--seed", _ints(0, 9)),
+            _flag("--k", _ints(1, 4)),
+            _flag("--out", _GOOD_OUT, _BAD_OUT),
+            _JSON,
+        ],
+    ),
+    "expansion": (
+        [_GRAPH],
+        [
+            _flag("--side", st.sampled_from(expansion.SIDES), _BAD_CHOICE),
+            _flag("--cap", _ints(1, 6)),
+            _flag(
+                "--gamma",
+                st.floats(0.05, 1.0),
+                st.sampled_from(["nan", "inf", "-inf", "1e308", "-1", "0", "x", ""]),
+            ),
+            _flag("--seed", _ints(0, 9)),
+            _JSON,
+        ],
+    ),
+    "code": (
+        [_flag("--pipeline", st.integers(4, 12).map(lambda h: [2 * h]), _ints(-2, 7)), _GRAPH],
+        [_flag("--pchk", _GOOD_OUT, _BAD_OUT), _flag("--alist", _GOOD_OUT, _BAD_OUT), _JSON],
+    ),
+    # a valid verify-all runs the whole acceptance suite (about 1 s), so it
+    # is drawn only with a stray token and run in full once, as an example
+    "verify-all": ([], [_JSON]),
+}
+_STRAY = st.sampled_from(["--bogus", "--json", "--graph", "--help", "-", "extra", "--k=x"])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command line: every flag valid, or some flags invalid, missing,
+    repeated or stray."""
+    command = draw(st.sampled_from([*_FLAGS, "frobnicate"]))
+    required, optional = _FLAGS.get(command, ([], []))
+    valid = command != "verify-all" and draw(st.booleans())
+    chosen = [draw(st.sampled_from(required))] if required else []
+    if not valid:
+        chosen = draw(st.lists(st.sampled_from(required + optional), max_size=3)) if required else []
+    chosen += [flag for flag in optional if draw(st.booleans())]
+    argv = [command]
+    for name, good, bad in chosen:
+        value = draw(good if valid or draw(st.booleans()) else bad)
+        argv += [name, *map(str, value if isinstance(value, list) else [value])]
+    if not valid and draw(st.booleans()) or command == "verify-all":
+        argv.insert(draw(st.integers(1, len(argv))), draw(_STRAY))
+    return argv
+
+
+@st.composite
+def _small_graph(draw) -> bigraph.BipartiteGraph:
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = [(u, v) for u in range(n1) for v in range(n2)]
+    return bigraph.build(n1, n2, draw(st.lists(st.sampled_from(cells), unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(argv=["verify-all", "--json", "{out}/v.json"], graph=bigraph.path_graph(4), malformed="")
+@given(
+    argv=_argv(),
+    graph=st.one_of(_small_graph(), st.integers(2, 12).map(bigraph.path_graph)),
+    malformed=st.one_of(
+        st.text(max_size=30),
+        st.sampled_from(["bip 2 2\ne 0 9\n", "bip 0 1\n", "bip 2 2\ne 0 0\ne 0 0\n", "bip 1 1\n"]),
+    ),
+)
+def test_every_command_line_exits_0_1_or_2(argv, graph, malformed):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "out").mkdir()
+        (root / "dir").mkdir()
+        (root / "graph.bip").write_text(bigraph.write_edge_list(graph), encoding="utf-8")
+        (root / "malformed.bip").write_text(malformed, encoding="utf-8")
+        (root / "binary.bip").write_bytes(b"bip 2 2\n\xff\xfe e 0 0\n")
+        names = {
+            "{graph}": "graph.bip",
+            "{malformed}": "malformed.bip",
+            "{binary}": "binary.bip",
+            "{dir}": "dir",
+            "{out}": "out",
+            "{missing}": "missing",
+        }
+        resolved = []
+        for token in argv:
+            for name, path in names.items():
+                token = token.replace(name, str(root / path))
+            resolved.append(token)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            status = run(resolved)
+    event(f"{argv[0]} exit {status}")
+    assert status in (0, 1, 2), (resolved, sink.getvalue()[-2000:])

@@ -5,10 +5,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import MAX_SIDE, build, complete_bipartite
+from bipspec.bigraph import MAX_DENSE_CELLS, MAX_SIDE, build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
     _gf2_back_substitute,
@@ -346,6 +346,37 @@ def test_alist_rejects_row_lists_that_disagree():
     # a correct row half is accepted, with MacKay zero padding
     assert read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n").H.tolist() == [[1, 0], [0, 1]]
     assert read_alist("2 1\n1 2\n1 1\n2\n1 0\n1\n1 2\n").H.tolist() == [[1, 1]]
+
+
+def _empty_alist(cols: int, rows: int) -> str:
+    """An alist header over all-zero weights and empty entry lines."""
+    return f"{cols} {rows}\n0 0\n" + "0 " * cols + "\n" + "0 " * rows + "\n" + "\n" * (cols + rows)
+
+
+def test_alist_refuses_a_dense_H_beyond_the_limits_before_allocating(monkeypatch):
+    requests = []
+    zeros = np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        requests.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    # 600 KB of text whose header asks for a 10^10-cell H
+    text = _empty_alist(MAX_SIDE, MAX_SIDE)
+    assert len(text) > 600_000
+    with pytest.raises(ValueError, match=r"alist line 1: a 100000 x 100000 H exceeds the limit"):
+        read_alist(text)
+    with pytest.raises(ValueError, match=r"alist line 1: side sizes \(100001, 1\) exceed the limit"):
+        read_alist(_empty_alist(MAX_SIDE + 1, 1))
+    # at the cell limit, a bad entry line in the row half fails before H exists
+    side = int(MAX_DENSE_CELLS**0.5)
+    text = _empty_alist(side, side)
+    with pytest.raises(ValueError, match=rf"alist line {4 + 2 * side} \(row {side - 1} entries\)"):
+        read_alist(text[:-1] + "1\n")
+    assert requests == []
+    assert read_alist(_empty_alist(3, 2)).H.tolist() == [[0, 0, 0], [0, 0, 0]]
+    assert requests == [(2, 3)]
 
 
 @pytest.mark.parametrize(
@@ -852,6 +883,98 @@ def test_reused_and_fresh_codes_decode_like_the_dense_loop():
                 for decoded, status in (reused, fresh):
                     assert status == expected_status
                     assert np.array_equal(decoded, expected)
+
+
+def test_bit_flip_matches_dense_loop_at_decoder_size():
+    rng = random.Random(97)
+    statuses = set()
+    for n in (800, 1000, 1200):
+        code = _regular_code(n, rng)
+        for rate in (0.01, 0.02, 0.03):
+            word = np.zeros(n, dtype=np.uint8)
+            word[rng.sample(range(n), round(rate * n))] = 1
+            for max_iters in (0, 1, n):
+                decoded, status = bit_flip_decode(code, word, max_iters)
+                expected, expected_status = _dense_bit_flip(code.H, word, max_iters)
+                assert (status, decoded.dtype) == (expected_status, np.uint8)
+                assert np.array_equal(decoded, expected)
+                statuses.add((status, "n" if max_iters == n else max_iters))
+    assert statuses == {("failed", 0), ("failed", 1), ("decoded", "n"), ("failed", "n")}
+
+
+def _dense_flip_events(H: np.ndarray, received, max_iters: int) -> set[str]:
+    """What the dense decoder loop passes through, in the terms of a queue of
+    margins: a top margin shared by bits of different column weights
+    ("tie"), a positive margin that moves before its bit flips ("stale"),
+    a top margin below the previous one ("lower top"), and an all-zero
+    column ("zero column")."""
+    word = np.asarray(received, dtype=np.uint8) % 2
+    H = H.astype(np.int64)
+    col_weight = H.sum(axis=0)
+    events = {"zero column"} if (col_weight == 0).any() else set()
+    margin = best = None
+    for _ in range(max_iters):
+        syndrome = H @ word % 2
+        if not syndrome.any():
+            break
+        new = 2 * (H.T @ syndrome) - col_weight
+        if margin is not None:
+            moved = (margin > 0) & (new != margin)
+            moved[best] = False
+            if moved.any():
+                events.add("stale")
+            if new.max() < margin.max():
+                events.add("lower top")
+        margin = new
+        if margin.max() <= 0:
+            break
+        if len(set(col_weight[margin == margin.max()].tolist())) > 1:
+            events.add("tie")
+        best = int(np.argmax(margin))
+        word[best] ^= 1
+    return events
+
+
+def _mixed_weight_H(rng: random.Random) -> np.ndarray:
+    rows, cols = rng.randint(1, 10), rng.randint(1, 16)
+    H = np.zeros((rows, cols), dtype=np.uint8)
+    for c in range(cols):
+        H[rng.sample(range(rows), rng.randint(0, min(6, rows))), c] = 1
+    return H
+
+
+def test_bit_flip_matches_dense_loop_over_mixed_column_weights():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        H = _mixed_weight_H(rng)
+        word = [rng.randint(0, 1) for _ in range(H.shape[1])]
+        max_iters = rng.randint(0, H.shape[1] + 2)
+        decoded, status = bit_flip_decode(LinearCode.from_matrix(H), word, max_iters)
+        expected, expected_status = _dense_bit_flip(H, word, max_iters)
+        assert status == expected_status
+        assert np.array_equal(decoded, expected)
+        seen |= _dense_flip_events(H, word, max_iters)
+    assert seen == {"tie", "stale", "lower top", "zero column"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bit_flip_property_over_mixed_column_weights(data):
+    rows = data.draw(st.integers(1, 10), label="rows")
+    cols = data.draw(st.integers(1, 16), label="cols")
+    H = np.zeros((rows, cols), dtype=np.uint8)
+    for c in range(cols):
+        checks = st.lists(st.integers(0, rows - 1), max_size=6, unique=True)
+        H[data.draw(checks, label=f"column {c}"), c] = 1
+    word = data.draw(st.lists(st.integers(0, 1), min_size=cols, max_size=cols), label="word")
+    max_iters = data.draw(st.integers(0, cols + 2), label="max_iters")
+    decoded, status = bit_flip_decode(LinearCode.from_matrix(H), word, max_iters)
+    expected, expected_status = _dense_bit_flip(H, word, max_iters)
+    assert status == expected_status
+    assert np.array_equal(decoded, expected)
+    for name in _dense_flip_events(H, word, max_iters):
+        event(name)
 
 
 def test_basis_is_derived_on_first_read():
