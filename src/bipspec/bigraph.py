@@ -23,6 +23,11 @@ MAX_SIDE = 10**5
 # Largest dense rows x cols parity-check matrix `eccode.read_alist` allocates
 # from its header: 10**8 uint8 cells is 100 MB, far past desk-scale codes.
 MAX_DENSE_CELLS = 10**8
+# Largest edge count a generator builds, checked with MAX_SIDE before any
+# edge is.  An edge costs about 210 bytes while gen builds and writes a graph:
+# `gen --complete 1000 1000` (10**6 edges) peaks at 239 MB resident and
+# takes 3.2 s, and 2000 x 2000 at 868 MB and 15 s.
+MAX_EDGES = 10**6
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,23 @@ def _edge_set(n1: int, n2: int, pairs: list[tuple[int, int]]) -> frozenset[tuple
     return edges
 
 
+def _check_generated(n1: int, n2: int, m: int) -> None:
+    """Refuse a graph to generate with a side above MAX_SIDE or more than
+    MAX_EDGES edges."""
+    if max(n1, n2) > MAX_SIDE:
+        raise ValueError(f"side sizes ({n1}, {n2}) exceed the limit {MAX_SIDE}")
+    if m > MAX_EDGES:
+        raise ValueError(f"{m} edges exceed the limit {MAX_EDGES}")
+
+
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:
-    """K_{m,n}: left side of size m, right side of size n, all m*n edges."""
+    """K_{m,n}: left side of size m, right side of size n, all m*n edges.
+
+    Sizes beyond MAX_SIDE or MAX_EDGES are refused before any edge is built.
+    """
     if m < 1 or n < 1:
         raise ValueError(f"complete bipartite sides must be >= 1, got ({m}, {n})")
+    _check_generated(m, n, m * n)
     return BipartiteGraph(m, n, frozenset((i, j) for i in range(m) for j in range(n)))
 
 
@@ -179,10 +197,12 @@ def path_graph(n: int) -> BipartiteGraph:
     """Path on n vertices, sides assigned by alternation.
 
     Path vertex 2i becomes left vertex i, path vertex 2i+1 becomes right
-    vertex i, so the sides have sizes (ceil(n/2), floor(n/2)).
+    vertex i, so the sides have sizes (ceil(n/2), floor(n/2)).  Sizes beyond
+    MAX_SIDE or MAX_EDGES are refused before any edge is built.
     """
     if n < 2:
         raise ValueError(f"path needs at least 2 vertices, got {n}")
+    _check_generated((n + 1) // 2, n // 2, n - 1)
     edges = []
     for k in range(n - 1):
         if k % 2 == 0:
@@ -222,11 +242,13 @@ def random_tree(n: int, mode: str, seed: int) -> BipartiteGraph:
     Grows a spanning tree by attaching each new vertex to a uniformly random
     vertex of the opposite side, alternating sides at random while capacity
     remains.  The result is always connected with m = n - 1, and identical
-    seeds give identical trees.
+    seeds give identical trees.  Sizes beyond MAX_SIDE or MAX_EDGES are
+    refused before any edge is built.
     """
     if n < 2:
         raise ValueError(f"tree needs at least 2 vertices, got {n}")
     a, b = _tree_side_sizes(n, mode)
+    _check_generated(a, b, n - 1)
     return build(a, b, _tree_edges(random.Random(seed), a, b))
 
 

@@ -25,7 +25,7 @@ from .bigraph import (
     _integer_parser,
     complete_bipartite,
 )
-from .expansion import LosslessParams, lossless_parameters
+from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
 from .vsplit import VertexSplitResult, vertex_split
 
 MAX_ENUM_DIMENSION = 20
@@ -485,15 +485,19 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
     left vertices and the 2 * n1/2 = n1 split right vertices are the checks.
     Expansion is measured exhaustively at gamma = 1/d1 (subsets of size at
     most 2) and both distance bounds are evaluated against the exact
-    minimum distance when the dimension permits.
+    minimum distance when the dimension permits.  A size the exhaustive
+    expansion search refuses is refused before the base graph is built.
     """
     if n1 < 8 or n1 % 2:
         raise ValueError(f"n1 must be even and >= 8, got {n1}")
-    base = complete_bipartite(n1, n1 // 2)
-    split = vertex_split(base, "round-robin", 0)
-    code = parity_check_from_graph(split.split_graph)
+    if n1 > MAX_SIDE:
+        raise ValueError(f"n1 = {n1} exceeds the side limit {MAX_SIDE}")
     d1 = n1 // 2
     gamma = 1.0 / d1
+    check_lossless_feasible(n1, gamma)  # the split has n1 left vertices
+    base = complete_bipartite(n1, d1)
+    split = vertex_split(base, "round-robin", 0)
+    code = parity_check_from_graph(split.split_graph)
     params = lossless_parameters(split.split_graph, gamma)
     lemma, cor8 = distance_bounds(n1, d1, gamma, params.epsilon)
     epsilon_target = (n1 - 2) / (2 * n1)

@@ -229,6 +229,18 @@ class LosslessParams:
         }
 
 
+def check_lossless_feasible(n1: int, gamma: float) -> None:
+    """Refuse what lossless_parameters refuses before it searches a graph
+    with n1 left vertices at gamma: a gamma that is not finite, a cap
+    floor(gamma * n1) below 1, or too many subsets to search exhaustively.
+    It needs no graph, so a caller can run it before building one.
+    """
+    cap = _gamma_cap(gamma, n1)
+    if cap < 1:
+        raise ValueError(f"subset cap must be >= 1, got {cap}")
+    _gate(n1, 1, min(cap, n1))
+
+
 def lossless_parameters(g: BipartiteGraph, gamma: float) -> LosslessParams:
     """Best alpha over left subsets with |S| <= floor(gamma * n1), and epsilon.
 
@@ -256,6 +268,7 @@ def _lossless_parameters(
         and report.subset_cap == _gamma_cap(gamma, g.n1)
     )
     if not reusable:
+        check_lossless_feasible(g.n1, gamma)
         report = vertex_expansion(g, "left", gamma=gamma, require_exhaustive=True)
     if D == 0:
         raise ValueError("left degree D is 0; epsilon = 1 - alpha/D is undefined")

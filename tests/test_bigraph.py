@@ -65,6 +65,36 @@ def test_complete_bipartite_examples():
         complete_bipartite(0, 4)
 
 
+def test_generators_refuse_sides_and_edges_beyond_the_limits(monkeypatch):
+    monkeypatch.setattr(bigraph, "MAX_SIDE", 5)
+    monkeypatch.setattr(bigraph, "MAX_EDGES", 12)
+    accepted = [
+        complete_bipartite(5, 2),
+        path_graph(10),
+        random_tree(6, "unbalanced", 0),
+        random_tree(10, "balanced", 0),
+    ]
+    assert [(g.n1, g.n2, g.m) for g in accepted] == [(5, 2, 10), (5, 5, 9), (1, 5, 5), (5, 5, 9)]
+    for make in (
+        lambda: complete_bipartite(6, 1),
+        lambda: path_graph(11),
+        lambda: random_tree(7, "unbalanced", 0),
+        lambda: random_tree(11, "balanced", 0),
+    ):
+        with pytest.raises(ValueError, match=r"^side sizes \(\d+, \d+\) exceed the limit 5$"):
+            make()
+    monkeypatch.setattr(bigraph, "MAX_SIDE", 10)
+    at_limit = [complete_bipartite(4, 3), path_graph(13), random_tree(13, "balanced", 0)]
+    assert [g.m for g in at_limit] == [12, 12, 12]
+    for make in (
+        lambda: complete_bipartite(7, 2),
+        lambda: path_graph(14),
+        lambda: random_tree(14, "balanced", 0),
+    ):
+        with pytest.raises(ValueError, match=r"^(14|13) edges exceed the limit 12$"):
+            make()
+
+
 def test_path_graph_examples():
     g = path_graph(4)
     assert (g.n1, g.n2, g.m) == (2, 2, 3)

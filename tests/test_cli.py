@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -327,6 +330,142 @@ def test_run_report_schema(tmp_path):
     report = json.loads(out_json.read_text(encoding="utf-8"))
     assert set(report) == {"command", "inputs", "findings", "violations", "exit_status"}
     assert report["command"] == "bounds"
+
+
+def test_generators_refuse_before_building_an_edge_set(monkeypatch, capsys):
+    built = []
+
+    def recorder(*args):
+        built.append(args)
+        raise AssertionError("an edge set was built")
+
+    # complete_bipartite builds its edges with frozenset; the pipeline's base
+    # graph is built by complete_bipartite as eccode binds it
+    monkeypatch.setattr(bigraph, "frozenset", recorder, raising=False)
+    monkeypatch.setattr(eccode, "complete_bipartite", recorder)
+    assert run(["gen", "--complete", "100000", "100000"]) == 2
+    assert run(["code", "--pipeline", "20000"]) == 2
+    assert run(["code", "--pipeline", "26"]) == 2
+    assert run(["code", "--pipeline", "1" + "0" * 400]) == 2
+    limits = "(limits: side 24, cap 12)"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: 10000000000 edges exceed the limit {bigraph.MAX_EDGES}",
+        f"error: exhaustive enumeration infeasible: 200010000 subsets for side size 20000, cap 2 {limits}",
+        f"error: exhaustive enumeration infeasible: 351 subsets for side size 26, cap 2 {limits}",
+        f"error: n1 = 1{'0' * 400} exceeds the side limit {bigraph.MAX_SIDE}",
+    ]
+    assert built == []
+
+
+# The six files the CLI writes, by the suffix of the file and the command
+# line that writes it to `target` (split --out takes the name without suffix).
+_OUTPUTS = {
+    "json": (".json", lambda graph, target: ["code", "--pipeline", "8", "--json", target]),
+    "gen-out": (".bip", lambda graph, target: ["gen", "--complete", "3", "2", "--out", target]),
+    "split-bip": (".bip", lambda graph, target: ["split", "--graph", graph, "--out", target[:-4]]),
+    "split-json": (".json", lambda graph, target: ["split", "--graph", graph, "--out", target[:-5]]),
+    "pchk": (".pchk", lambda graph, target: ["code", "--graph", graph, "--pchk", target]),
+    "alist": (".alist", lambda graph, target: ["code", "--graph", graph, "--alist", target]),
+}
+
+
+def _output_case(tmp_path: Path, output: str):
+    """The output's target path, a function running its command to a path,
+    and the bytes a run to a fresh path writes."""
+    suffix, argv = _OUTPUTS[output]
+    graph = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5))
+
+    def write(target: Path) -> int:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return run(argv(graph, str(target)))
+
+    fresh = tmp_path / "fresh" / f"o{suffix}"
+    fresh.parent.mkdir()
+    assert write(fresh) in (0, 1)
+    return tmp_path / f"o{suffix}", write, fresh.read_bytes()
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_output_overwrites_an_existing_file(tmp_path, output):
+    target, write, expected = _output_case(tmp_path, output)
+    # 64 KB, longer than every output, then one byte, shorter than every one
+    for old in (bytes(range(256)) * 256, b"x"):
+        target.write_bytes(old)
+        hard_link = tmp_path / "hard"
+        os.link(target, hard_link)
+        assert write(target) in (0, 1)
+        assert target.read_bytes() == expected
+        assert hard_link.read_bytes() == expected
+        hard_link.unlink()
+    real = tmp_path / "real"
+    real.write_bytes(b"y" * 65536)
+    target.unlink()
+    target.symlink_to(real)
+    assert write(target) in (0, 1)
+    assert target.is_symlink() and real.read_bytes() == expected
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_only_reports_are_rewritten_without_truncating_first(tmp_path, output, monkeypatch):
+    target, write, _ = _output_case(tmp_path, output)
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args):
+        opened.append((Path(path).name, bool(flags & os.O_TRUNC)))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert write(target) in (0, 1)
+    # a .bip, .pchk or .alist file is read back by later commands, so it is
+    # truncated to zero first; a .json report is overwritten in place
+    assert (target.name, target.suffix != ".json") in opened
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_output_streams_to_a_fifo(tmp_path, output):
+    target, write, expected = _output_case(tmp_path, output)
+    os.mkfifo(target)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(target.read_bytes()))
+    reader.start()
+    try:
+        status = write(target)
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # the command never opened the FIFO
+            os.close(os.open(target, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert status in (0, 1)
+    assert received == [expected]
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_output_errors_are_those_of_a_truncating_write(tmp_path, output, capsys):
+    target, write, _ = _output_case(tmp_path, output)
+    missing = tmp_path / "missing" / target.name
+    target.mkdir()
+    # split writes its .bip first, so a missing directory fails there
+    first_missing = missing.with_suffix(".bip") if output.startswith("split") else missing
+    for path, failing in ((missing, first_missing), (target, target)):
+        with pytest.raises(OSError) as refused:
+            failing.write_text("", encoding="utf-8")
+        capsys.readouterr()
+        assert write(path) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_new_output_mode_follows_the_umask(tmp_path, output):
+    target, write, _ = _output_case(tmp_path, output)
+    for mask in (0o027, 0o002):
+        old = os.umask(mask)
+        try:
+            assert write(target) in (0, 1)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+        target.unlink()
 
 
 # The exit contract over generated command lines.  Tokens in braces name

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from bipspec.bigraph import build, complete_bipartite, path_graph
 from bipspec.expansion import (
+    check_lossless_feasible,
     corollary_r5_gamma,
     lossless_parameters,
     ndc_expander_check,
@@ -198,6 +200,22 @@ def test_lossless_contract_errors():
         lossless_parameters(tree, 0.5)
     with pytest.raises(ValueError, match=">= 1"):
         lossless_parameters(complete_bipartite(4, 4), 0.1)
+
+
+def test_lossless_feasibility_check_refuses_as_lossless_parameters():
+    # left-regular graphs of 4, 24 and 26 left vertices at a gamma that is
+    # not finite, or whose cap is below 1, feasible or above the cap limit,
+    # and on a side above the side limit
+    cases = [(4, math.nan), (4, 0.1), (24, 1 / 12), (24, 13 / 24), (26, 1 / 13)]
+    for n1, gamma in cases:
+        g = complete_bipartite(n1, 2)
+        try:
+            lossless_parameters(g, gamma)
+        except ValueError as refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+                check_lossless_feasible(n1, gamma)
+        else:
+            check_lossless_feasible(n1, gamma)
 
 
 def _brute_alpha_at_size(g, size: int) -> float:
