@@ -29,9 +29,7 @@ from .eccode import (
 from .expansion import (
     ExpansionReport,
     LosslessParams,
-    corollary_r5_gamma,
     lossless_parameters,
-    ndc_expander_check,
     theorem_r4_report,
     vertex_expansion,
 )

@@ -20,14 +20,24 @@ import numpy as np
 # anything is allocated.  Every command builds per-vertex lists and dense
 # matrices, so sides in the hundreds are desk scale and 10**5 is a wide margin.
 MAX_SIDE = 10**5
-# Largest dense rows x cols parity-check matrix `eccode.read_alist` allocates
-# from its header: 10**8 uint8 cells is 100 MB, far past desk-scale codes.
+# Largest dense rows x cols matrix any command allocates (`check_dense`):
+# 10**8 cells is 100 MB as uint8 (800 MB for the float64 adjacency matrix),
+# far past desk-scale graphs and codes.
 MAX_DENSE_CELLS = 10**8
 # Largest edge count a generator builds, checked with MAX_SIDE before any
 # edge is.  An edge costs about 210 bytes while gen builds and writes a graph:
 # `gen --complete 1000 1000` (10**6 edges) peaks at 239 MB resident and
 # takes 3.2 s, and 2000 x 2000 at 868 MB and 15 s.
 MAX_EDGES = 10**6
+
+
+def check_dense(rows: int, cols: int, name: str, where: str = "") -> None:
+    """Refuse a dense rows x cols `name` of more than MAX_DENSE_CELLS cells,
+    before it is allocated; `where` prefixes the message."""
+    if rows * cols > MAX_DENSE_CELLS:
+        raise ValueError(
+            f"{where}a {rows} x {cols} {name} exceeds the limit of {MAX_DENSE_CELLS} cells"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,7 @@ class BipartiteGraph:
 
     def biadjacency(self) -> np.ndarray:
         """The n1 x n2 0/1 matrix B with B[u, v] = 1 exactly for edge (u, v)."""
+        check_dense(self.n1, self.n2, "biadjacency matrix")
         B = np.zeros((self.n1, self.n2), dtype=np.uint8)
         for u, v in self.edges:
             B[u, v] = 1

@@ -209,7 +209,7 @@ def _cmd_expansion(args) -> int:
     )
     findings: list[dict] = [{"type": "expansion", **report.to_json_dict()}]
     if args.gamma is not None and g.degree_profile().is_left_regular and args.side == "left":
-        params = expansion._lossless_parameters(g, args.gamma, report)
+        params = expansion.lossless_parameters(g, args.gamma, report)
         findings.append({"type": "lossless", **params.to_json_dict()})
         print(f"lossless parameters: D={params.D} alpha={params.alpha:.6f} epsilon={params.epsilon:.6f}")
     inputs = {"graph": args.graph, "side": args.side, "cap": args.cap, "gamma": args.gamma, "seed": args.seed}

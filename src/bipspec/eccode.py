@@ -19,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bigraph import (
-    MAX_DENSE_CELLS,
     MAX_SIDE,
     BipartiteGraph,
     _integer_parser,
+    check_dense,
     complete_bipartite,
 )
 from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
@@ -142,6 +142,7 @@ class LinearCode:
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     """Parity-check matrix of the factor graph: bits = X, checks = Y."""
+    check_dense(g.n2, g.n1, "parity-check matrix")
     H = np.zeros((g.n2, g.n1), dtype=np.uint8)
     ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
     H[ends[1::2], ends[::2]] = 1  # edge (u, v) is H[v, u]
@@ -619,10 +620,7 @@ def read_alist(text: str) -> LinearCode:
         raise ValueError("alist line 1: block length must be >= 1, got 0 columns")
     if max(cols, rows) > MAX_SIDE:
         raise ValueError(f"alist line 1: side sizes ({cols}, {rows}) exceed the limit {MAX_SIDE}")
-    if rows * cols > MAX_DENSE_CELLS:
-        raise ValueError(
-            f"alist line 1: a {rows} x {cols} H exceeds the limit of {MAX_DENSE_CELLS} cells"
-        )
+    check_dense(rows, cols, "H", "alist line 1: ")
     col_weights = ints(2, "column weights")
     if len(col_weights) != cols:
         raise ValueError(f"alist line 3: expected {cols} column weights, got {len(col_weights)}")

@@ -2,8 +2,8 @@
 
 Exact measurement is guaranteed for side sizes up to 24 with subset caps
 up to 12 (sum of C(24, s) for s <= 12 = 9,740,685 subsets worst case).  Larger
-requests degrade to seeded random sampling with exhaustive = False, or refuse
-outright when the caller needs exact answers.
+requests degrade to seeded random sampling with exhaustive = False in
+`vertex_expansion`; `lossless_parameters` and `theorem_r4_report` refuse them.
 
 Neighborhoods are int bitmasks and |N(S)| is the bit count of the OR of the
 members' masks.  One gate decides whether a request is exact.  Every exact
@@ -12,18 +12,15 @@ minimum-ratio measurement (`vertex_expansion`, `lossless_parameters`,
 subsets in lexicographic order, ORs each prefix's mask once, compares
 candidates in exact integers by the key (|N(S)|/|S|, |S|, S), so the witness
 is the first strict minimum in (size, lexicographic) order, and cuts a branch
-whose prefix P has |N(P)|/cap no smaller than the best ratio.
-`ndc_expander_check`, whose violations are not monotone along a branch, and
-the sampled path enumerate their subsets plainly.
+whose prefix P has |N(P)|/cap no smaller than the best ratio.  The sampled
+path ORs the masks of each drawn subset.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 from .bigraph import BipartiteGraph, complete_bipartite
 from .vsplit import vertex_split
@@ -68,24 +65,6 @@ def _gate(side_size: int, low: int, high: int) -> None:
             f"exhaustive enumeration infeasible: {count} subsets for side size {side_size}, "
             f"cap {high} (limits: side {EXHAUSTIVE_SIDE_LIMIT}, cap {EXHAUSTIVE_CAP_LIMIT})"
         )
-
-
-def _subsets(side_size: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
-    """Every subset of range(side_size) with low <= |S| <= high, in (size, lex)
-    order, behind the feasibility gate."""
-    _gate(side_size, low, high)
-    return chain.from_iterable(combinations(range(side_size), s) for s in range(low, high + 1))
-
-
-def _reached(
-    masks: list[int], subsets: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each subset S with |N(S)|, the bit count of its members' OR-ed masks."""
-    for subset in subsets:
-        reached = 0
-        for v in subset:
-            reached |= masks[v]
-        yield subset, reached.bit_count()
 
 
 def _search(masks: list[int], low: int, high: int) -> tuple[float, tuple[int, ...]]:
@@ -144,15 +123,13 @@ def vertex_expansion(
     gamma: float | None = None,
     seed: int = 0,
     samples: int = 20000,
-    require_exhaustive: bool = False,
 ) -> ExpansionReport:
     """Measure alpha = min over nonempty S with |S| <= cap of |N(S)|/|S|.
 
     The cap may be given directly or derived from a fraction gamma as
     floor(gamma * side size).  Exhaustive whenever side size <= 24 and
-    cap <= 12; otherwise a seeded random sample of subsets is used and the
-    report says so.  With require_exhaustive, an infeasible request is
-    refused with its subset count instead of silently sampling.
+    cap <= 12, by the branch-and-bound search; otherwise `samples` seeded
+    random subsets are drawn and the report says so.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -167,42 +144,21 @@ def vertex_expansion(
     masks = _neighbor_masks(g, side)
     try:
         _gate(side_size, 1, cap)
-    except ValueError:  # sample unless exactness is required
-        if require_exhaustive:
-            raise
+    except ValueError:  # too many subsets: sample them
+        pass
     else:
         return ExpansionReport(side, cap, *_search(masks, 1, cap), True)
     rng = random.Random(seed)
-    subsets = (
-        tuple(sorted(rng.sample(range(side_size), rng.randint(1, cap)))) for _ in range(samples)
-    )
     alpha, witness = math.inf, ()
-    for subset, count in _reached(masks, subsets):
-        ratio = count / len(subset)
+    for _ in range(samples):
+        subset = tuple(sorted(rng.sample(range(side_size), rng.randint(1, cap))))
+        reached = 0
+        for v in subset:
+            reached |= masks[v]
+        ratio = reached.bit_count() / len(subset)
         if ratio < alpha:
             alpha, witness = ratio, subset
     return ExpansionReport(side, cap, alpha, witness, False)
-
-
-def ndc_expander_check(g: BipartiteGraph, c: float) -> tuple[bool, tuple[int, ...] | None]:
-    """Equal-sides expander test: |N(S)| >= (1 + c(1 - |S|/n))|S| for S in X.
-
-    Checks every S with 1 <= |S| <= n/2 and returns (True, None), or
-    (False, witness) with the first violating subset.
-    """
-    if g.n1 != g.n2:
-        raise ValueError(f"requires equal sides, got ({g.n1}, {g.n2})")
-    n = g.n1
-    reached = _reached(_neighbor_masks(g, "left"), _subsets(n, 1, max(1, n // 2)))
-    witness = next(
-        (
-            subset
-            for subset, count in reached
-            if count < (1 + c * (1 - len(subset) / n)) * len(subset) - 1e-9
-        ),
-        None,
-    )
-    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -241,22 +197,17 @@ def check_lossless_feasible(n1: int, gamma: float) -> None:
     _gate(n1, 1, min(cap, n1))
 
 
-def lossless_parameters(g: BipartiteGraph, gamma: float) -> LosslessParams:
+def lossless_parameters(
+    g: BipartiteGraph, gamma: float, report: ExpansionReport | None = None
+) -> LosslessParams:
     """Best alpha over left subsets with |S| <= floor(gamma * n1), and epsilon.
 
     Requires a left-regular graph (otherwise the degree D is undefined) with
     D >= 1, and a cap of at least one vertex.  epsilon = 1 - alpha/D, so
-    alpha = D(1-epsilon) by construction.
+    alpha = D(1-epsilon) by construction.  An exhaustive left-side `report`
+    at the cap gamma gives is reused, so the subsets are searched once; any
+    other report is ignored and the search runs.
     """
-    return _lossless_parameters(g, gamma, None)
-
-
-def _lossless_parameters(
-    g: BipartiteGraph, gamma: float, report: ExpansionReport | None
-) -> LosslessParams:
-    """lossless_parameters, reusing `report` when it is an exhaustive
-    left-side report at the cap gamma gives, so the subsets are searched
-    once; any other report is ignored and the search runs."""
     profile = g.degree_profile()
     if not profile.is_left_regular:
         raise ValueError("graph is not left-regular; left degree D is undefined")
@@ -268,8 +219,8 @@ def _lossless_parameters(
         and report.subset_cap == _gamma_cap(gamma, g.n1)
     )
     if not reusable:
-        check_lossless_feasible(g.n1, gamma)
-        report = vertex_expansion(g, "left", gamma=gamma, require_exhaustive=True)
+        check_lossless_feasible(g.n1, gamma)  # so the search below is exhaustive
+        report = vertex_expansion(g, "left", gamma=gamma)
     if D == 0:
         raise ValueError("left degree D is 0; epsilon = 1 - alpha/D is undefined")
     epsilon = 1.0 - report.alpha / D
@@ -340,9 +291,3 @@ def theorem_r4_report(m: int, n: int, rule: str = "round-robin", seed: int = 0) 
         exhaustive=True,
     )
 
-
-def corollary_r5_gamma(n: int, d_prime: int) -> float:
-    """Spectral-expansion gap 1/(n^2 * d') for the split of K_{m, m/2}."""
-    if n < 1 or d_prime < 1:
-        raise ValueError(f"n and d' must be >= 1, got ({n}, {d_prime})")
-    return 1.0 / (n * n * d_prime)

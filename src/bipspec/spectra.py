@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraph import BipartiteGraph
+from .bigraph import BipartiteGraph, check_dense
 
 JACOBI_MAX_SWEEPS = 100
 RESIDUAL_GATE = 1e-8
@@ -93,6 +93,7 @@ class SymmetricMatrix:
 
 def adjacency_matrix(g: BipartiteGraph) -> SymmetricMatrix:
     """Block matrix [[0, B], [B^T, 0]] with left vertices indexed first."""
+    check_dense(g.n, g.n, "adjacency matrix")
     B = g.biadjacency()
     A = np.zeros((g.n, g.n))
     A[: g.n1, g.n1 :] = B

@@ -18,6 +18,8 @@ from bipspec.bigraph import (
     read_edge_list,
     write_edge_list,
 )
+from bipspec.eccode import parity_check_from_graph
+from bipspec.spectra import adjacency_matrix
 from bipspec.vsplit import SPLIT_RULES, vertex_split
 
 
@@ -546,3 +548,17 @@ def test_edge_list_reader_paths_agree_at_scale():
     assert bigraph._read_canonical(bad) is None
     expected = f"ValueError: line 2992: edge ({u}, 60) out of range for sides (100, 60)"
     assert _outcome(read_edge_list, bad) == expected == _outcome(_seed_read_edge_list, bad)
+
+
+def test_dense_matrices_refused_above_the_cell_limit(monkeypatch):
+    monkeypatch.setattr(bigraph, "MAX_DENSE_CELLS", 12)
+    g = build(2, 4, [(0, 0), (1, 3)])  # 8 biadjacency cells, 36 adjacency cells
+    assert g.biadjacency().shape == (2, 4)
+    assert parity_check_from_graph(g).H.shape == (4, 2)
+    with pytest.raises(ValueError, match=r"^a 6 x 6 adjacency matrix exceeds the limit of 12 cells$"):
+        adjacency_matrix(g)
+    wide = build(2, 7, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^a 2 x 7 biadjacency matrix exceeds the limit of 12 cells$"):
+        wide.biadjacency()
+    with pytest.raises(ValueError, match=r"^a 7 x 2 parity-check matrix exceeds the limit of 12 cells$"):
+        parity_check_from_graph(wide)

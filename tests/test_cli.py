@@ -11,6 +11,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -355,6 +356,37 @@ def test_generators_refuse_before_building_an_edge_set(monkeypatch, capsys):
         f"error: n1 = 1{'0' * 400} exceeds the side limit {bigraph.MAX_SIDE}",
     ]
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["spectrum"], "200000 x 200000 adjacency matrix"),
+        (["bounds"], "200000 x 200000 adjacency matrix"),
+        (["code"], "100000 x 100000 parity-check matrix"),
+        (["split", "--k", "2"], "300000 x 300000 adjacency matrix"),
+    ],
+)
+def test_oversized_dense_matrices_are_refused_before_allocation(
+    tmp_path, monkeypatch, capsys, argv, shape
+):
+    # a 24-byte edge list within MAX_SIDE whose dense matrices hold 10^10 cells
+    graph = tmp_path / "big.bip"
+    graph.write_text("bip 100000 100000\ne 0 0\n", encoding="ascii")
+    zeros, oversized = np.zeros, []
+
+    def recording_zeros(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape)) > bigraph.MAX_DENSE_CELLS:
+            oversized.append(shape)
+            raise AssertionError(f"a dense {shape} matrix was allocated")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    assert run([argv[0], "--graph", str(graph), *argv[1:]]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: a {shape} exceeds the limit of {bigraph.MAX_DENSE_CELLS} cells"
+    )
+    assert oversized == []
 
 
 # The six files the CLI writes, by the suffix of the file and the command

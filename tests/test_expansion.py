@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import build, complete_bipartite, path_graph
+from bipspec import expansion
+from bipspec.bigraph import build, complete_bipartite
 from bipspec.expansion import (
+    ExpansionReport,
     check_lossless_feasible,
-    corollary_r5_gamma,
     lossless_parameters,
-    ndc_expander_check,
     theorem_r4_report,
     vertex_expansion,
 )
@@ -123,9 +123,14 @@ def test_left_regular_alpha_at_most_degree():
 
 
 def test_exhaustive_refusal_names_estimate():
-    g = complete_bipartite(25, 3)
-    with pytest.raises(ValueError, match="subsets"):
-        vertex_expansion(g, "left", 3, require_exhaustive=True)
+    message = (
+        "exhaustive enumeration infeasible: 2625 subsets for side size 25, cap 3 "
+        "(limits: side 24, cap 12)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_lossless_feasible(25, 0.14)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lossless_parameters(complete_bipartite(25, 3), 0.14)
 
 
 def test_sampled_mode_flagged():
@@ -152,30 +157,6 @@ def test_gamma_derived_cap():
         vertex_expansion(split, "left", gamma=0.01)
 
 
-def test_ndc_check_cases():
-    ok, witness = ndc_expander_check(complete_bipartite(4, 4), 0.0)
-    assert ok and witness is None
-
-    ok, witness = ndc_expander_check(complete_bipartite(2, 2), 1.0)
-    assert ok
-
-    ok, witness = ndc_expander_check(path_graph(4), 1.0)
-    assert not ok
-    assert witness == (0,)
-
-    with pytest.raises(ValueError, match="equal sides"):
-        ndc_expander_check(complete_bipartite(3, 2), 1.0)
-
-
-def test_ndc_witness_is_first_violation_not_minimum():
-    g = _random_graph(random.Random(6), 6, 6, 0.5)
-    ok, witness = ndc_expander_check(g, 1.0)
-    assert not ok
-    # (2, 5) reaches fewer checks, but (2, 3) is the first pair that violates
-    assert witness == (2, 3)
-    assert _brute_expansion(g, "left", 2) == (1.0, (2, 5))
-
-
 def test_lossless_split_k84():
     split = vertex_split(complete_bipartite(8, 4)).split_graph
     params = lossless_parameters(split, 1 / 4)
@@ -200,6 +181,34 @@ def test_lossless_contract_errors():
         lossless_parameters(tree, 0.5)
     with pytest.raises(ValueError, match=">= 1"):
         lossless_parameters(complete_bipartite(4, 4), 0.1)
+
+
+def test_lossless_report_reused_only_when_exhaustive_left_at_the_cap(monkeypatch):
+    split = vertex_split(complete_bipartite(8, 4)).split_graph  # cap 2 at gamma 1/4
+    searches = []
+
+    def counting_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    search = expansion._search
+    monkeypatch.setattr(expansion, "_search", counting_search)
+    expected = lossless_parameters(split, 1 / 4)
+    assert len(searches) == 1
+    # alpha 0 would give epsilon 1 if any of these reports were read
+    ignored = [
+        ExpansionReport("left", 2, 0.0, (0,), False),
+        ExpansionReport("right", 2, 0.0, (0,), True),
+        ExpansionReport("left", 3, 0.0, (0,), True),
+    ]
+    for report in ignored:
+        searches.clear()
+        assert lossless_parameters(split, 1 / 4, report) == expected
+        assert len(searches) == 1
+    searches.clear()
+    reused = vertex_expansion(split, "left", 2)
+    assert lossless_parameters(split, 1 / 4, reused) == expected
+    assert len(searches) == 1  # the vertex_expansion call's search alone
 
 
 def test_lossless_feasibility_check_refuses_as_lossless_parameters():
@@ -256,14 +265,6 @@ def test_theorem_r4_contract():
         theorem_r4_report(7, 5)
     with pytest.raises(ValueError, match="n <= m <= 2n"):
         theorem_r4_report(20, 6)
-
-
-def test_corollary_r5_gamma_values():
-    assert corollary_r5_gamma(4, 4) == 1 / 64
-    assert corollary_r5_gamma(1, 1) == 1.0
-    assert corollary_r5_gamma(10, 5) == pytest.approx(0.002, abs=1e-15)
-    with pytest.raises(ValueError):
-        corollary_r5_gamma(0, 3)
 
 
 def _both_sides_match_brute(g, caps=None) -> None:
