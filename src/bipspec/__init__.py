@@ -21,8 +21,6 @@ from .eccode import (
     distance_bounds,
     min_distance,
     parity_check_from_graph,
-    read_alist,
-    read_pchk,
     write_alist,
     write_pchk,
 )

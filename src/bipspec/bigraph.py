@@ -31,13 +31,11 @@ MAX_DENSE_CELLS = 10**8
 MAX_EDGES = 10**6
 
 
-def check_dense(rows: int, cols: int, name: str, where: str = "") -> None:
+def check_dense(rows: int, cols: int, name: str) -> None:
     """Refuse a dense rows x cols `name` of more than MAX_DENSE_CELLS cells,
-    before it is allocated; `where` prefixes the message."""
+    before it is allocated."""
     if rows * cols > MAX_DENSE_CELLS:
-        raise ValueError(
-            f"{where}a {rows} x {cols} {name} exceeds the limit of {MAX_DENSE_CELLS} cells"
-        )
+        raise ValueError(f"a {rows} x {cols} {name} exceeds the limit of {MAX_DENSE_CELLS} cells")
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,15 @@ import functools
 import heapq
 import itertools
 import operator
-import re
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .bigraph import (
-    MAX_SIDE,
-    BipartiteGraph,
-    _integer_parser,
-    check_dense,
-    complete_bipartite,
-)
+from .bigraph import MAX_SIDE, BipartiteGraph, check_dense, complete_bipartite
 from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
-from .vsplit import VertexSplitResult, vertex_split
+from .vsplit import vertex_split
 
 MAX_ENUM_DIMENSION = 20
 TABLE_DIMENSION = 12  # basis vectors spanned into min_distance's table
@@ -71,8 +64,7 @@ class LinearCode:
     from the forward elimination alone, whose echelon rows the code keeps.
     basis (the null-space basis of H, one codeword per row) and the
     incidence lists of H are derived the first time they are read, the
-    basis by back-substitution on the kept rows.  H is read-only.  Codes
-    compare and hash by H, which determines every other field.
+    basis by back-substitution on the kept rows.  H is read-only.
     """
 
     H: np.ndarray
@@ -121,14 +113,6 @@ class LinearCode:
         lists = (inc.bits, inc.check_start, inc.bit_checks, inc.bit_start)
         top = int(inc.col_weight.max(initial=0))
         return _Adjacency(*(array("q", a.tolist()) for a in lists), top)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearCode):
-            return NotImplemented
-        return np.array_equal(self.H, other.H)
-
-    def __hash__(self) -> int:
-        return hash((self.H.shape, self.H.tobytes()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -472,9 +456,6 @@ class ExpanderCodePipeline:
     code: LinearCode
     report: DistanceReport
     params: LosslessParams
-    base: BipartiteGraph
-    split: VertexSplitResult
-    epsilon_target: float
     n2_rule: N2RuleDiagnostic
 
 
@@ -501,7 +482,6 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
     code = parity_check_from_graph(split.split_graph)
     params = lossless_parameters(split.split_graph, gamma)
     lemma, cor8 = distance_bounds(n1, d1, gamma, params.epsilon)
-    epsilon_target = (n1 - 2) / (2 * n1)
     premises = params.exhaustive and params.epsilon < 0.5
     true_distance = min_distance(code) if code.dimension <= MAX_ENUM_DIMENSION else None
     if premises and true_distance is not None:
@@ -509,9 +489,7 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
     else:
         bound_holds = None
     report = DistanceReport(true_distance, lemma, cor8, premises, bound_holds)
-    return ExpanderCodePipeline(
-        code, report, params, base, split, epsilon_target, n2_selection_rule(n1)
-    )
+    return ExpanderCodePipeline(code, report, params, n2_selection_rule(n1))
 
 
 def write_pchk(code: LinearCode) -> str:
@@ -520,42 +498,6 @@ def write_pchk(code: LinearCode) -> str:
     text = np.full((code.check_count, code.n + 1), ord("\n"), dtype=np.uint8)
     text[:, :-1] = code.H + ord("0")
     return f"pchk {code.check_count} {code.n}\n" + text.tobytes().decode("ascii")
-
-
-def read_pchk(text: str) -> LinearCode:
-    """Parse the dense format, skipping blank lines and `#` comments.
-
-    Malformed text raises ValueError naming the pchk line (counting every
-    line of the text from 1).  A block length above bigraph.MAX_SIDE is
-    refused at the header, and every row is checked before H is allocated,
-    so H is never larger than the text.
-    """
-    lines = [
-        (at, line)
-        for at, raw in enumerate(text.splitlines(), 1)
-        if (line := raw.strip()) and not line.startswith("#")
-    ]
-    if not lines:
-        raise ValueError("missing 'pchk <rows> <cols>' header")
-    at, header = lines[0]
-    match = re.fullmatch(r"pchk\s+([0-9]+)\s+([0-9]+)", header)
-    if match is None:
-        raise ValueError(f"pchk line {at}: expected a 'pchk <rows> <cols>' header, got {header!r}")
-    rows, cols = int(match[1]), int(match[2])
-    if cols == 0:
-        raise ValueError(f"pchk line {at}: block length must be >= 1, got 0 columns")
-    if cols > MAX_SIDE:
-        raise ValueError(f"pchk line {at}: block length {cols} exceeds the limit {MAX_SIDE}")
-    if len(lines) != rows + 1:
-        raise ValueError(f"pchk line {at}: expected {rows} matrix rows, got {len(lines) - 1}")
-    matrix_rows = []
-    for r, (at, line) in enumerate(lines[1:]):
-        bits = np.frombuffer(line.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
-        if bits.size != cols or (bits > 1).any():
-            raise ValueError(f"pchk line {at} (row {r}): expected {cols} characters of 0/1")
-        matrix_rows.append(bits)
-    H = np.array(matrix_rows, dtype=np.uint8).reshape(rows, cols)
-    return LinearCode.from_matrix(H)
 
 
 def write_alist(code: LinearCode) -> str:
@@ -580,69 +522,6 @@ def _index_lines(entries: np.ndarray, start: np.ndarray) -> list[str]:
     words = [str(x) for x in (entries + 1).tolist()]
     bounds = start.tolist()
     return [" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def read_alist(text: str) -> LinearCode:
-    """Parse the alist format, reading every line by its position.
-
-    An empty line is an empty entry list (an all-zero column or row), and a
-    0 entry is MacKay-style padding.  The row lists must describe the same
-    matrix as the column lists.  Every integer is ASCII, -?[0-9]+.
-    Malformed text raises ValueError naming the alist line.  A side above
-    bigraph.MAX_SIDE, or an H of more than bigraph.MAX_DENSE_CELLS cells, is
-    refused at the header, and every entry line is checked before H is
-    allocated.
-    """
-    parse = _integer_parser(text)
-    lines = text.splitlines()
-
-    def ints(i: int, what: str) -> list[int]:
-        if i >= len(lines):
-            raise ValueError(f"alist line {i + 1} ({what}) is missing")
-        try:
-            return [parse(x) for x in lines[i].split()]
-        except ValueError:
-            raise ValueError(f"alist line {i + 1} ({what}): expected integers") from None
-
-    def entries(i: int, what: str, weight: int, limit: int) -> list[int]:
-        found = [x for x in ints(i, what) if x != 0]
-        if any(not 1 <= x <= limit for x in found):
-            raise ValueError(f"alist line {i + 1} ({what}): index outside 1..{limit}")
-        if len(found) != weight or len(set(found)) != weight:
-            raise ValueError(f"alist line {i + 1} ({what}): weight mismatch, expected {weight}")
-        return found
-
-    header = ints(0, "'<cols> <rows>' header")
-    if len(header) != 2 or min(header) < 0:
-        raise ValueError("alist line 1: expected '<cols> <rows>'")
-    cols, rows = header
-    if cols == 0:
-        raise ValueError("alist line 1: block length must be >= 1, got 0 columns")
-    if max(cols, rows) > MAX_SIDE:
-        raise ValueError(f"alist line 1: side sizes ({cols}, {rows}) exceed the limit {MAX_SIDE}")
-    check_dense(rows, cols, "H", "alist line 1: ")
-    col_weights = ints(2, "column weights")
-    if len(col_weights) != cols:
-        raise ValueError(f"alist line 3: expected {cols} column weights, got {len(col_weights)}")
-    row_weights = ints(3, "row weights")
-    if len(row_weights) != rows:
-        raise ValueError(f"alist line 4: expected {rows} row weights, got {len(row_weights)}")
-    col_lists = [
-        entries(4 + c, f"column {c} entries", col_weights[c], rows) for c in range(cols)
-    ]
-    row_lists = [
-        entries(4 + cols + r, f"row {r} entries", row_weights[r], cols) for r in range(rows)
-    ]
-    H = np.zeros((rows, cols), dtype=np.uint8)
-    for c, found in enumerate(col_lists):
-        for r in found:
-            H[r - 1, c] = 1
-    for r, found in enumerate(row_lists):
-        if sorted(found) != [c + 1 for c in np.flatnonzero(H[r])]:
-            raise ValueError(
-                f"alist line {5 + cols + r} (row {r} entries) disagrees with the column lists"
-            )
-    return LinearCode.from_matrix(H)
 
 
 def codewords(code: LinearCode) -> list[np.ndarray]:

@@ -56,11 +56,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """Square real matrix, exactly symmetric by construction.
-
-    Matrices compare and hash by (kind, data), with entries compared by
-    value as np.array_equal does.
-    """
+    """Square real matrix, exactly symmetric by construction."""
 
     data: np.ndarray
     kind: str = "custom"
@@ -75,16 +71,6 @@ class SymmetricMatrix:
             raise ValueError("matrix is not exactly symmetric")
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymmetricMatrix):
-            return NotImplemented
-        return self.kind == other.kind and np.array_equal(self.data, other.data)
-
-    def __hash__(self) -> int:
-        # float64 bytes, with -0.0 turned to 0.0, so equal values hash equal
-        values = np.asarray(self.data, dtype=np.float64) + 0.0
-        return hash((self.kind, self.data.shape, values.tobytes()))
 
     @property
     def order(self) -> int:
@@ -126,10 +112,6 @@ class SpectrumReport:
     matrix_kind: str
     residual: float
     iterations: int
-
-    @property
-    def order(self) -> int:
-        return len(self.eigenvalues)
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,11 +300,12 @@ def symmetric_eigenvalues(M: SymmetricMatrix) -> SpectrumReport:
     return SpectrumReport(tuple(float(x) for x in vals), M.kind, residual, sweeps)
 
 
-def eigenvalue_clusters(eigenvalues, tol: float = 1e-8) -> list[tuple[float, int]]:
-    """Group a descending spectrum into (value, multiplicity) clusters."""
+def eigenvalue_clusters(eigenvalues) -> list[tuple[float, int]]:
+    """Group a descending spectrum into (value, multiplicity) clusters of
+    values within 1e-8 of the cluster's first."""
     clusters: list[tuple[float, int]] = []
     for x in eigenvalues:
-        if clusters and abs(clusters[-1][0] - x) <= tol:
+        if clusters and abs(clusters[-1][0] - x) <= 1e-8:
             clusters[-1] = (clusters[-1][0], clusters[-1][1] + 1)
         else:
             clusters.append((x, 1))
@@ -340,7 +323,6 @@ class Quotient2x2:
     eta1: float
     eta2: float
     flavor: str
-    degenerate: bool = False
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.b11, self.b12], [self.b21, self.b22]])
@@ -351,13 +333,13 @@ def bipartite_quotient(g: BipartiteGraph, flavor: str) -> Quotient2x2:
 
     Adjacency flavor has eigenvalues +-m/sqrt(n1*n2); Laplacian flavor has
     eigenvalues {m*n/(n1*n2), 0}.  Both are closed forms, never iterated.
-    An empty graph (m = 0) yields the zero quotient with a degeneracy flag.
+    An empty graph (m = 0) yields the zero quotient.
     """
     if flavor not in QUOTIENT_FLAVORS:
         raise ValueError(f"unknown quotient flavor {flavor!r}")
     n1, n2, m = g.n1, g.n2, g.m
     if m == 0:
-        return Quotient2x2(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, flavor, degenerate=True)
+        return Quotient2x2(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, flavor)
     if flavor == "adjacency":
         eta1 = m / math.sqrt(n1 * n2)
         return Quotient2x2(0.0, m / n1, m / n2, 0.0, eta1, -eta1, flavor)
@@ -501,14 +483,11 @@ def _lower(bound_id: str, bound: float, observed: float, pre: bool, notes: str) 
 
 
 def bound_suite(
-    g: BipartiteGraph,
-    adjacency: SpectrumReport | None = None,
-    laplacian: SpectrumReport | None = None,
+    g: BipartiteGraph, adjacency: SpectrumReport, laplacian: SpectrumReport
 ) -> list[BoundReport]:
     """Evaluate every second-eigenvalue bound on g.
 
-    adjacency and laplacian are g's spectra when the caller has already
-    solved them; each one missing is solved here.  Inapplicable bounds
+    adjacency and laplacian are g's solved spectra.  Inapplicable bounds
     (unmet preconditions) are still evaluated observationally with
     preconditions_met = False.  Reports on disconnected input carry a note,
     since most of the bounds presume connectivity.
@@ -516,8 +495,8 @@ def bound_suite(
     if g.m == 0:
         raise ValueError("bound suite needs a nonempty graph")
     n1, n2, n, m = g.n1, g.n2, g.n, g.m
-    lam = (adjacency or symmetric_eigenvalues(adjacency_matrix(g))).eigenvalues
-    mu = (laplacian or symmetric_eigenvalues(laplacian_matrix(g))).eigenvalues
+    lam = adjacency.eigenvalues
+    mu = laplacian.eigenvalues
     profile = g.degree_profile()
     connected = g.is_connected()
     regular = profile.is_regular

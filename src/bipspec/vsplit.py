@@ -77,11 +77,12 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     mapping: list[SplitMapping] = []
+    isolated: list[int] = []
     for j, nb in enumerate(g.right_neighbors()):
         d = len(nb)
         da = (d + 1) // 2
         if d == 0:
-            warnings.append(f"right vertex {j} has degree 0; both copies are isolated")
+            isolated.append(j)
             a_set: tuple[int, ...] = ()
         elif rule == "round-robin":
             positions = {(j + t) % d for t in range(da)}
@@ -96,6 +97,11 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
         edges.extend((x, a_idx) for x in a_set)
         edges.extend((x, b_idx) for x in b_set)
         mapping.append(SplitMapping(a_idx, b_idx, a_set, b_set))
+    if isolated:
+        warnings.append(
+            f"right vertices of degree 0: {len(isolated)} (first {isolated[0]}); "
+            "their copies are isolated"
+        )
 
     split_graph = build(g.n1, 2 * g.n2, edges)
     shared = {x for sm in mapping for x in sm.a_neighbors} & {

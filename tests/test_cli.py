@@ -198,7 +198,7 @@ def test_code_beyond_enumeration_never_derives_the_basis(tmp_path, monkeypatch):
     entry = json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]
     assert (entry["dimension"], "true_distance" in entry) == (29, False)
     assert (len(forward), len(back), len(nullspace)) == (1, 0, 0)
-    assert eccode.read_alist(alist.read_text(encoding="utf-8")) == eccode.parity_check_from_graph(g)
+    assert alist.read_text(encoding="utf-8") == eccode.write_alist(eccode.parity_check_from_graph(g))
 
 
 def test_split_command_files_and_checks(tmp_path):
@@ -218,6 +218,18 @@ def test_split_command_files_and_checks(tmp_path):
     assert kinds == ["split", "connectivity-criterion", "connectivity-criterion"]
     r1 = report["findings"][1]
     assert r1["criterion_met"] and r1["conclusion_holds"]
+
+
+def test_split_counts_isolated_right_vertices_in_one_warning(tmp_path, capsys):
+    graph = tmp_path / "sparse.bip"
+    graph.write_text("bip 1000 1000\ne 0 0\n", encoding="ascii")
+    base = tmp_path / "split_out"
+    assert run(["split", "--graph", str(graph), "--out", str(base)]) == 0
+    warning = "right vertices of degree 0: 999 (first 1); their copies are isolated"
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "degree 0" in line] == [f"  warning: {warning}"]
+    sidecar = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    assert [w for w in sidecar["warnings"] if "degree 0" in w] == [warning]
 
 
 def test_split_seeded_random_byte_identical(tmp_path):

@@ -5,10 +5,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import MAX_DENSE_CELLS, MAX_SIDE, build, complete_bipartite
+from bipspec.bigraph import build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
     _gf2_back_substitute,
@@ -20,8 +20,6 @@ from bipspec.eccode import (
     distance_bounds,
     min_distance,
     parity_check_from_graph,
-    read_alist,
-    read_pchk,
     n2_selection_rule,
     write_alist,
     write_pchk,
@@ -75,18 +73,6 @@ def test_parity_check_orientation():
     # H[j][i] = 1 iff edge (i, j)
     for i, j in split.edges:
         assert code.H[j, i] == 1
-
-
-def test_linear_code_compares_and_hashes_by_H():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
-    assert read_alist(write_alist(code)) == code
-    from_pchk = read_pchk(write_pchk(code))
-    assert from_pchk == code and hash(from_pchk) == hash(code)
-    other = code.H.copy()
-    other[0, 0] ^= 1
-    assert LinearCode.from_matrix(other) != code
-    assert LinearCode.from_matrix(np.zeros((1, 2))) != LinearCode.from_matrix(np.zeros((2, 1)))
-    assert len({code, from_pchk, LinearCode.from_matrix(other)}) == 2
 
 
 def test_gf2_rank_basics():
@@ -227,9 +213,8 @@ def test_bit_flip_reads_integers_mod_2():
 
 def test_pipeline_n8():
     pipe = construct_expander_code(8)
-    assert pipe.base.n1 == 8 and pipe.base.n2 == 4
     assert pipe.code.H.shape == (8, 8)
-    assert pipe.params.epsilon == pipe.epsilon_target == 0.375
+    assert pipe.params.epsilon == (8 - 2) / (2 * 8) == 0.375
     assert pipe.report.lemma_bound == pipe.report.cor8_bound == 2.5
     assert pipe.report.premises_verified
     assert pipe.report.true_distance == 4
@@ -263,181 +248,33 @@ def test_n2_selection_rule_infeasible():
     assert n2_selection_rule(8).chosen is None
 
 
-def test_pchk_roundtrip():
+def _per_entry_pchk(H: np.ndarray) -> str:
+    """The pchk text written one entry at a time."""
+    rows, cols = H.shape
+    return f"pchk {rows} {cols}\n" + "".join(
+        "".join(str(int(x)) for x in row) + "\n" for row in H
+    )
+
+
+def test_code_writers_on_small_codes():
     code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
-    text = write_pchk(code)
-    assert text.startswith("pchk 8 8\n")
-    again = read_pchk(text)
-    assert np.array_equal(again.H, code.H)
-    assert write_pchk(again) == text
+    assert write_pchk(code).startswith("pchk 8 8\n")
+    assert write_pchk(code) == _per_entry_pchk(code.H)
+    assert write_alist(code).splitlines()[0] == "8 8"
+    # an all-zero column is an empty entry line
+    code = LinearCode.from_matrix(np.array([[1, 0, 1], [1, 0, 0]], dtype=np.uint8))
+    assert write_alist(code) == "3 2\n2 2\n2 0 1\n2 1\n1 2\n\n1\n1 3\n1\n"
 
 
 def test_pchk_roundtrip_at_decoder_size():
     code = _regular_code(1200, random.Random(21))
-    text = write_pchk(code)
-    # the per-entry text the writer has always produced
-    assert text == "pchk 600 1200\n" + "".join(
-        "".join(str(int(x)) for x in row) + "\n" for row in code.H
-    )
-    assert read_pchk(text) == code
+    assert write_pchk(code) == _per_entry_pchk(code.H)
+    assert write_pchk(code).startswith("pchk 600 1200\n")
 
 
 def test_pchk_of_zero_rows():
     code = LinearCode.from_matrix(np.zeros((0, 3), dtype=np.uint8))
     assert write_pchk(code) == "pchk 0 3\n"
-    assert read_pchk("pchk 0 3\n") == code
-
-
-def test_alist_roundtrip():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
-    text = write_alist(code)
-    first = text.splitlines()[0]
-    assert first == "8 8"
-    again = read_alist(text)
-    assert np.array_equal(again.H, code.H)
-
-
-def test_pchk_rejects_garbage():
-    with pytest.raises(ValueError, match="header"):
-        read_pchk("nope\n")
-    with pytest.raises(ValueError, match="0/1"):
-        read_pchk("pchk 1 2\n2x\n")
-    with pytest.raises(ValueError, match="rows"):
-        read_pchk("pchk 2 2\n11\n")
-
-
-def test_pchk_skips_indented_comment():
-    code = read_pchk("pchk 1 2\n  # indented comment\n11\n")
-    assert code.H.tolist() == [[1, 1]]
-
-
-def test_alist_rejects_truncated_text():
-    with pytest.raises(ValueError, match="line 1"):
-        read_alist("")
-    with pytest.raises(ValueError, match="line 3"):
-        read_alist("2 1\n1 1\n")
-
-
-def test_alist_rejects_weight_mismatch():
-    with pytest.raises(ValueError, match="column weights"):
-        read_alist("2 1\n1 2\n1\n2\n1\n1 2\n")
-    with pytest.raises(ValueError, match="weight mismatch"):
-        read_alist("2 1\n1 2\n1 1\n2\n1\n\n1 2\n")
-
-
-def test_alist_roundtrip_all_zero_column():
-    code = LinearCode.from_matrix(np.array([[1, 0, 1], [1, 0, 0]], dtype=np.uint8))
-    again = read_alist(write_alist(code))
-    assert again.H.tolist() == [[1, 0, 1], [1, 0, 0]]
-
-
-def test_alist_rejects_index_above_rows():
-    with pytest.raises(ValueError, match=r"alist line 5 \(column 0 entries\): index outside 1..1"):
-        read_alist("2 1\n1 1\n1 1\n1\n5\n1\n1 2\n")
-
-
-def test_alist_rejects_row_lists_that_disagree():
-    # the row weight says 1 but the row lists both columns
-    with pytest.raises(ValueError, match=r"alist line 7 \(row 0 entries\): weight mismatch"):
-        read_alist("2 1\n1 1\n1 1\n1\n1\n1\n1 2\n")
-    # weights agree, but row 0 names column 2 where the columns put column 1
-    with pytest.raises(ValueError, match=r"alist line 7 \(row 0 entries\) disagrees"):
-        read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n")
-    # a correct row half is accepted, with MacKay zero padding
-    assert read_alist("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n").H.tolist() == [[1, 0], [0, 1]]
-    assert read_alist("2 1\n1 2\n1 1\n2\n1 0\n1\n1 2\n").H.tolist() == [[1, 1]]
-
-
-def _empty_alist(cols: int, rows: int) -> str:
-    """An alist header over all-zero weights and empty entry lines."""
-    return f"{cols} {rows}\n0 0\n" + "0 " * cols + "\n" + "0 " * rows + "\n" + "\n" * (cols + rows)
-
-
-def test_alist_refuses_a_dense_H_beyond_the_limits_before_allocating(monkeypatch):
-    requests = []
-    zeros = np.zeros
-
-    def recording_zeros(shape, *args, **kwargs):
-        requests.append(shape)
-        return zeros(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", recording_zeros)
-    # 600 KB of text whose header asks for a 10^10-cell H
-    text = _empty_alist(MAX_SIDE, MAX_SIDE)
-    assert len(text) > 600_000
-    with pytest.raises(ValueError, match=r"alist line 1: a 100000 x 100000 H exceeds the limit"):
-        read_alist(text)
-    with pytest.raises(ValueError, match=r"alist line 1: side sizes \(100001, 1\) exceed the limit"):
-        read_alist(_empty_alist(MAX_SIDE + 1, 1))
-    # at the cell limit, a bad entry line in the row half fails before H exists
-    side = int(MAX_DENSE_CELLS**0.5)
-    text = _empty_alist(side, side)
-    with pytest.raises(ValueError, match=rf"alist line {4 + 2 * side} \(row {side - 1} entries\)"):
-        read_alist(text[:-1] + "1\n")
-    assert requests == []
-    assert read_alist(_empty_alist(3, 2)).H.tolist() == [[0, 0, 0], [0, 0, 0]]
-    assert requests == [(2, 3)]
-
-
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        ("2_0 1\n1 2\n1 1\n2\n1\n1\n1 2\n", r"alist line 1 .*: expected integers"),
-        ("2 1\n1 2\n1 +1\n2\n1\n1\n1 2\n", r"alist line 3 \(column weights\): expected integers"),
-        ("2 1\n1 2\n1 1\n2\n\u0661\n1\n1 2\n", r"alist line 5 \(column 0 entries\): expected integers"),
-        ("2 1\n1 2\n1 1\n2\n-1\n1\n1 2\n", r"alist line 5 \(column 0 entries\): index outside 1..1"),
-    ],
-)
-def test_alist_reads_ascii_integers_only(text, match):
-    with pytest.raises(ValueError, match=match):
-        read_alist(text)
-    assert read_alist("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n").H.tolist() == [[1, 1]]
-
-
-def test_pchk_rejects_zero_block_length():
-    with pytest.raises(ValueError, match=r"pchk line 1: block length must be >= 1"):
-        read_pchk("pchk 0 0\n")
-
-
-def test_alist_rejects_zero_block_length():
-    with pytest.raises(ValueError, match=r"alist line 1: block length must be >= 1"):
-        read_alist("0 0\n0 0\n\n\n")
-
-
-@pytest.mark.parametrize("header", ["pchkfoo 1 2", "pchk 2", "pchk x 2", "pchk 1 2 3", "pchk -1 2"])
-def test_pchk_rejects_malformed_header(header):
-    with pytest.raises(ValueError, match=r"pchk line 2: expected a 'pchk <rows> <cols>' header"):
-        read_pchk(f"# comment\n{header}\n11\n")
-
-
-def test_pchk_errors_name_the_line():
-    with pytest.raises(ValueError, match=r"pchk line 4 \(row 1\): expected 2 characters"):
-        read_pchk("pchk 2 2\n11\n\n1x\n")
-    with pytest.raises(ValueError, match=r"pchk line 1: expected 2 matrix rows, got 1"):
-        read_pchk("pchk 2 2\n11\n")
-    # too long, too short, a space, a digit above 1, a non-ASCII character
-    for bad in ("110", "1", "1 1", "12", "1\u00e9", "\u0661\u0660"):
-        with pytest.raises(ValueError, match=r"pchk line 3 \(row 1\): expected 2 characters of 0/1"):
-            read_pchk(f"pchk 2 2\n01\n{bad}\n")
-
-
-def test_pchk_refuses_a_block_length_above_the_side_limit():
-    assert read_pchk(f"pchk 0 {MAX_SIDE}\n").n == MAX_SIDE
-    refused = rf"^pchk line 2: block length \d+ exceeds the limit {MAX_SIDE}$"
-    for header in (f"pchk 0 {MAX_SIDE + 1}", "pchk 0 99999999999", "pchk 2 99999999999"):
-        with pytest.raises(ValueError, match=refused):
-            read_pchk(f"# big\n{header}\n")
-
-
-def test_pchk_checks_row_widths_before_allocating():
-    # a 10^5 x 10^5 header over short rows fails at the first row, with no
-    # 10 GB matrix allocated first
-    with pytest.raises(ValueError, match=rf"^pchk line 2 \(row 0\): expected {MAX_SIDE} characters"):
-        read_pchk(f"pchk {MAX_SIDE} {MAX_SIDE}\n" + "0\n" * MAX_SIDE)
-    # the first bad row is named, whether its width or a character is wrong
-    for text, row in (("11\n1x\n111\n", 1), ("11\n111\n1x\n", 1), ("1x\n111\n11\n", 0)):
-        with pytest.raises(ValueError, match=rf"^pchk line {row + 2} \(row {row}\): expected 2"):
-            read_pchk("pchk 3 2\n" + text)
 
 
 def _random_code(data, max_rows: int, max_cols: int) -> LinearCode:
@@ -452,36 +289,7 @@ def _random_code(data, max_rows: int, max_cols: int) -> LinearCode:
 @given(st.data())
 def test_pchk_write_read_roundtrip(data):
     code = _random_code(data, 40, 90)
-    text = write_pchk(code)
-    again = read_pchk(text)
-    assert again == code and write_pchk(again) == text
-
-
-@st.composite
-def _near_code_text(draw) -> str:
-    """pchk or alist text of a small random code, with one line replaced,
-    the text cut short, or both."""
-    code = _random_code(draw(st.data()), 4, 5)
-    lines = draw(st.sampled_from([write_pchk, write_alist]))(code).splitlines()
-    if draw(st.booleans()):
-        junk = st.sampled_from(["", "#", "0", "-1", "1 1", "99999999999", "pchk 0 99999999999"])
-        line = st.one_of(junk, st.text("0123456789 -#", max_size=8), st.text(max_size=6))
-        lines[draw(st.integers(0, len(lines) - 1))] = draw(line)
-    if draw(st.booleans()):
-        lines = lines[: draw(st.integers(0, len(lines)))]
-    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
-
-
-@pytest.mark.parametrize("read", [read_pchk, read_alist])
-@settings(max_examples=200, deadline=None)
-@example(text="pchk 0 99999999999\n")
-@given(text=st.one_of(st.text(max_size=40), _near_code_text()))
-def test_code_readers_return_a_code_or_a_value_error(read, text):
-    try:
-        code = read(text)
-    except ValueError:
-        return
-    assert isinstance(code, LinearCode)
+    assert write_pchk(code) == _per_entry_pchk(code.H)
 
 
 def test_from_matrix_rejects_zero_columns():
@@ -1011,7 +819,6 @@ def test_alist_writer_matches_per_column_writer(data):
     code = _random_code(data, 12, 15)
     text = write_alist(code)
     assert text == _nonzero_write_alist(code)
-    assert read_alist(text) == code
 
 
 def test_parity_check_matrix_is_the_transposed_biadjacency():

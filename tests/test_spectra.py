@@ -83,21 +83,6 @@ def test_symmetric_matrix_keeps_a_private_copy():
     assert symmetric_eigenvalues(M).eigenvalues == pytest.approx(((5 + root) / 2, (5 - root) / 2))
 
 
-def test_symmetric_matrix_compares_and_hashes_by_kind_and_data():
-    M = SymmetricMatrix(np.eye(2))
-    assert M == SymmetricMatrix(np.eye(2)) and hash(M) == hash(SymmetricMatrix(np.eye(2)))
-    # entries compare by value, whatever their dtype or the sign of a zero
-    assert M == SymmetricMatrix(np.eye(2, dtype=np.int64))
-    assert hash(M) == hash(SymmetricMatrix(np.eye(2, dtype=np.int64)))
-    zero, negative_zero = SymmetricMatrix(np.zeros((2, 2))), SymmetricMatrix(-np.zeros((2, 2)))
-    assert zero == negative_zero and hash(zero) == hash(negative_zero)
-    assert M != SymmetricMatrix(np.eye(2), "laplacian")
-    assert M != zero and M != SymmetricMatrix(np.eye(3)) and M != "eye"
-    g = complete_bipartite(3, 2)
-    assert adjacency_matrix(g) == adjacency_matrix(g)
-    assert len({adjacency_matrix(g), adjacency_matrix(g), laplacian_matrix(g), M}) == 3
-
-
 # --- eigensolver ---
 
 
@@ -436,16 +421,15 @@ def test_quotient_invariants():
 
 
 def test_quotient_degenerate_empty():
-    g = build(2, 2, [(0, 0)])
-    # remove the edge by constructing degree-0 situation is impossible via
-    # build, so exercise the m = 0 path directly
+    # build cannot make a graph without edges, so the m = 0 path is
+    # exercised directly
     from bipspec.bigraph import BipartiteGraph
 
     empty = BipartiteGraph(2, 2, frozenset())
-    q = bipartite_quotient(empty, "adjacency")
-    assert q.degenerate
-    assert (q.eta1, q.eta2) == (0.0, 0.0)
-    assert not bipartite_quotient(g, "adjacency").degenerate
+    for flavor in ("adjacency", "laplacian"):
+        q = bipartite_quotient(empty, flavor)
+        assert q.as_array().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert (q.eta1, q.eta2, q.flavor) == (0.0, 0.0, flavor)
 
 
 # --- lifted spectrum ---
@@ -578,12 +562,18 @@ def test_bipartite_spectrum_symmetric_and_lap_equals_signless():
 # --- bound suite ---
 
 
+def _suite(g) -> list[BoundReport]:
+    """bound_suite on g with both of its spectra solved, as `bounds` calls it."""
+    adjacency = symmetric_eigenvalues(adjacency_matrix(g))
+    return bound_suite(g, adjacency, symmetric_eigenvalues(laplacian_matrix(g)))
+
+
 def _by_id(reports: list[BoundReport]) -> dict[str, BoundReport]:
     return {r.bound_id: r for r in reports}
 
 
 def test_bound_suite_p4():
-    reports = _by_id(bound_suite(path_graph(4)))
+    reports = _by_id(_suite(path_graph(4)))
     t1 = reports["T1.iii"]
     assert t1.bound_value == pytest.approx(1.5, abs=1e-12)
     assert t1.observed_value == pytest.approx(0.6180339887498949, abs=1e-8)
@@ -592,7 +582,7 @@ def test_bound_suite_p4():
 
 
 def test_bound_suite_p20_violations():
-    reports = _by_id(bound_suite(path_graph(20)))
+    reports = _by_id(_suite(path_graph(20)))
     t1 = reports["T1.iii"]
     assert not t1.holds
     assert t1.bound_value == pytest.approx(1.9, abs=1e-6)
@@ -607,19 +597,19 @@ def test_bound_suite_p20_violations():
 
 def test_bound_suite_tree_bound_value_odd_n():
     g = random_tree(9, "balanced", 2)
-    reports = _by_id(bound_suite(g))
+    reports = _by_id(_suite(g))
     assert reports["T2-tree"].bound_value == pytest.approx(2 * 8 / math.sqrt(80), abs=1e-12)
     assert reports["T2-tree"].holds
 
 
 def test_bound_suite_preconditions():
-    reports = _by_id(bound_suite(path_graph(4)))
+    reports = _by_id(_suite(path_graph(4)))
     assert not reports["Cor-regular-adj"].preconditions_met
     assert "regular" in reports["Cor-regular-adj"].notes
     assert reports["T2-tree"].preconditions_met
 
     k33 = complete_bipartite(3, 3)
-    reports = _by_id(bound_suite(k33))
+    reports = _by_id(_suite(k33))
     assert reports["Cor-regular-adj"].preconditions_met
     assert reports["Note-complete-lap"].preconditions_met
     # complete bipartite: mu_2 <= n with m = n1*n2
@@ -628,7 +618,7 @@ def test_bound_suite_preconditions():
 
 def test_bound_suite_disconnected_flagged():
     g = build(2, 2, [(0, 0), (1, 1)])
-    reports = _by_id(bound_suite(g))
+    reports = _by_id(_suite(g))
     assert "disconnected" in reports["T1.iii"].notes
     assert not reports["T2-tree"].preconditions_met
 
@@ -637,11 +627,11 @@ def test_bound_suite_rejects_empty():
     from bipspec.bigraph import BipartiteGraph
 
     with pytest.raises(ValueError, match="nonempty"):
-        bound_suite(BipartiteGraph(2, 2, frozenset()))
+        _suite(BipartiteGraph(2, 2, frozenset()))
 
 
 def test_bound_report_schema():
-    rep = bound_suite(path_graph(4))[0].to_json_dict()
+    rep = _suite(path_graph(4))[0].to_json_dict()
     assert set(rep) == {"bound_id", "bound", "observed", "holds", "preconditions_met", "notes"}
 
 
