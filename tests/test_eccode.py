@@ -256,11 +256,21 @@ def _per_entry_pchk(H: np.ndarray) -> str:
     )
 
 
-def test_code_writers_on_small_codes():
+def test_pchk_roundtrip():
     code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
-    assert write_pchk(code).startswith("pchk 8 8\n")
-    assert write_pchk(code) == _per_entry_pchk(code.H)
-    assert write_alist(code).splitlines()[0] == "8 8"
+    text = write_pchk(code)
+    assert text.startswith("pchk 8 8\n")
+    assert text == _per_entry_pchk(code.H)
+
+
+def test_alist_roundtrip():
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    text = write_alist(code)
+    assert text.splitlines()[0] == "8 8"
+    assert text == _nonzero_write_alist(code)
+
+
+def test_alist_roundtrip_all_zero_column():
     # an all-zero column is an empty entry line
     code = LinearCode.from_matrix(np.array([[1, 0, 1], [1, 0, 0]], dtype=np.uint8))
     assert write_alist(code) == "3 2\n2 2\n2 0 1\n2 1\n1 2\n\n1\n1 3\n1\n"
