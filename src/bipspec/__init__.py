@@ -28,7 +28,6 @@ from .expansion import (
     ExpansionReport,
     LosslessParams,
     lossless_parameters,
-    theorem_r4_report,
     vertex_expansion,
 )
 from .spectra import (

@@ -1,15 +1,15 @@
 """Vertex expansion by exact subset search, and the expander checks built on it.
 
-Exact measurement is guaranteed for side sizes up to 24 with subset caps
-up to 12 (sum of C(24, s) for s <= 12 = 9,740,685 subsets worst case).  Larger
-requests degrade to seeded random sampling with exhaustive = False in
-`vertex_expansion`; `lossless_parameters` and `theorem_r4_report` refuse them.
+A request is measured exactly when its subset space, the sum of C(side, s)
+for 1 <= s <= cap, is at most SUBSET_BUDGET = 9,740,685 subsets (side 24 at
+cap 12, for instance).  A larger request degrades to seeded random sampling
+with exhaustive = False in `vertex_expansion`; `lossless_parameters` refuses
+it.
 
 Neighborhoods are int bitmasks and |N(S)| is the bit count of the OR of the
 members' masks.  One gate decides whether a request is exact.  Every exact
-minimum-ratio measurement (`vertex_expansion`, `lossless_parameters`,
-`theorem_r4_report`) runs one depth-first branch-and-bound search: it visits
-subsets in lexicographic order, ORs each prefix's mask once, compares
+minimum-ratio measurement runs one depth-first branch-and-bound search: it
+visits subsets in lexicographic order, ORs each prefix's mask once, compares
 candidates in exact integers by the key (|N(S)|/|S|, |S|, S), so the witness
 is the first strict minimum in (size, lexicographic) order, and cuts a branch
 whose prefix P has |N(P)|/cap no smaller than the best ratio.  The sampled
@@ -22,11 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bigraph import BipartiteGraph, complete_bipartite
-from .vsplit import vertex_split
+from .bigraph import BipartiteGraph
 
-EXHAUSTIVE_SIDE_LIMIT = 24
-EXHAUSTIVE_CAP_LIMIT = 12
+SUBSET_BUDGET = 9_740_685
 SIDES = ("left", "right")
 
 
@@ -55,27 +53,33 @@ def _neighbor_masks(g: BipartiteGraph, side: str) -> list[int]:
     return [sum(1 << w for w in nb) for nb in neighbors]
 
 
-def _gate(side_size: int, low: int, high: int) -> None:
-    """The one feasibility gate of exact measurements: a side above
-    EXHAUSTIVE_SIDE_LIMIT or a size above EXHAUSTIVE_CAP_LIMIT is refused
-    with the subset count."""
-    if side_size > EXHAUSTIVE_SIDE_LIMIT or high > EXHAUSTIVE_CAP_LIMIT:
-        count = sum(math.comb(side_size, s) for s in range(low, high + 1))
-        raise ValueError(
-            f"exhaustive enumeration infeasible: {count} subsets for side size {side_size}, "
-            f"cap {high} (limits: side {EXHAUSTIVE_SIDE_LIMIT}, cap {EXHAUSTIVE_CAP_LIMIT})"
-        )
+def _gate(side_size: int, cap: int) -> None:
+    """The one feasibility gate of exact measurements: refuse a request
+    whose subsets of sizes 1..cap number more than SUBSET_BUDGET.
+
+    The running sum stops at the first term that passes the budget, so a
+    refusal costs a few multiplications however large the request.
+    """
+    total, term = 0, 1
+    for s in range(1, cap + 1):
+        term = term * (side_size - s + 1) // s  # C(side, s), exactly
+        total += term
+        if total > SUBSET_BUDGET:
+            raise ValueError(
+                f"exhaustive enumeration infeasible: side size {side_size}, cap {cap} "
+                f"exceeds the budget of {SUBSET_BUDGET} subsets"
+            )
 
 
-def _search(masks: list[int], low: int, high: int) -> tuple[float, tuple[int, ...]]:
-    """min |N(S)|/|S| over low <= |S| <= high and its witness, by branch and bound.
+def _search(masks: list[int], cap: int) -> tuple[float, tuple[int, ...]]:
+    """min |N(S)|/|S| over 1 <= |S| <= cap and its witness, by branch and bound.
 
     A depth-first search visits the subsets in lexicographic order, OR-ing
     each prefix's mask once.  Candidates compare in exact integers by the key
     (|N(S)|/|S|, |S|, S), so the witness is the first strict minimum in
     (size, lex) order.  The search descends from a prefix P only while
-    |N(P)|/high < best ratio: an extension T has |N(T)|/|T| >= |N(P)|/high,
-    equal only at |T| = high, where T loses the tie to the best found so far,
+    |N(P)|/cap < best ratio: an extension T has |N(T)|/|T| >= |N(P)|/cap,
+    equal only at |T| = cap, where T loses the tie to the best found so far,
     which is lex-smaller and no larger.  Callers pass the feasibility gate
     first.
     """
@@ -86,15 +90,13 @@ def _search(masks: list[int], low: int, high: int) -> tuple[float, tuple[int, ..
     def descend(reached: int, start: int) -> None:
         nonlocal best_count, best_size, best
         size = len(path) + 1
-        # leave room for the low - size members still needed after v
-        for v in range(start, side_size - max(low - size, 0)):
+        for v in range(start, side_size):
             union = reached | masks[v]
             count = union.bit_count()
-            if size >= low:
-                lhs, rhs = count * best_size, best_count * size
-                if lhs < rhs or lhs == rhs and size < best_size:
-                    best_count, best_size, best = count, size, (*path, v)
-            if size < high and count * best_size < best_count * high:
+            lhs, rhs = count * best_size, best_count * size
+            if lhs < rhs or lhs == rhs and size < best_size:
+                best_count, best_size, best = count, size, (*path, v)
+            if size < cap and count * best_size < best_count * cap:
                 path.append(v)
                 descend(union, v + 1)
                 path.pop()
@@ -108,11 +110,13 @@ def _gamma_cap(gamma: float, side_size: int) -> int:
     side size.
 
     gamma is clamped to [-1, 1] before the product, which cannot overflow
-    then; a cap below 1 is refused by the caller whatever its value.
+    then; a cap below 1 is refused by the caller whatever its value.  The
+    product is rounded to 9 decimals before the floor, so a gamma of 1/d at
+    side 2d gives cap 2 although (1/d) * 2d may fall just below 2.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    return math.floor(min(max(gamma, -1.0), 1.0) * side_size)
+    return math.floor(round(min(max(gamma, -1.0), 1.0) * side_size, 9))
 
 
 def vertex_expansion(
@@ -127,9 +131,10 @@ def vertex_expansion(
     """Measure alpha = min over nonempty S with |S| <= cap of |N(S)|/|S|.
 
     The cap may be given directly or derived from a fraction gamma as
-    floor(gamma * side size).  Exhaustive whenever side size <= 24 and
-    cap <= 12, by the branch-and-bound search; otherwise `samples` seeded
-    random subsets are drawn and the report says so.
+    floor(gamma * side size).  Exhaustive, by the branch-and-bound search,
+    whenever the subsets of sizes 1..cap number at most SUBSET_BUDGET;
+    otherwise `samples` seeded random subsets are drawn and the report says
+    so.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -143,11 +148,11 @@ def vertex_expansion(
     cap = min(cap, side_size)
     masks = _neighbor_masks(g, side)
     try:
-        _gate(side_size, 1, cap)
+        _gate(side_size, cap)
     except ValueError:  # too many subsets: sample them
         pass
     else:
-        return ExpansionReport(side, cap, *_search(masks, 1, cap), True)
+        return ExpansionReport(side, cap, *_search(masks, cap), True)
     rng = random.Random(seed)
     alpha, witness = math.inf, ()
     for _ in range(samples):
@@ -194,7 +199,7 @@ def check_lossless_feasible(n1: int, gamma: float) -> None:
     cap = _gamma_cap(gamma, n1)
     if cap < 1:
         raise ValueError(f"subset cap must be >= 1, got {cap}")
-    _gate(n1, 1, min(cap, n1))
+    _gate(n1, min(cap, n1))
 
 
 def lossless_parameters(
@@ -225,69 +230,3 @@ def lossless_parameters(
         raise ValueError("left degree D is 0; epsilon = 1 - alpha/D is undefined")
     epsilon = 1.0 - report.alpha / D
     return LosslessParams(g.n1, g.n2, D, gamma, report.alpha, epsilon, report.exhaustive)
-
-
-@dataclass(frozen=True)
-class SplitExpanderReport:
-    """Expansion of the split of K_{m,n} at |S| = n/2, against case formulas.
-
-    The case-3 formula instantiates the ambiguous index i as m - n/2, the
-    closest reading; the formula comparison is informational and measured
-    alpha is authoritative either way.
-    """
-
-    m: int
-    n: int
-    rule: str
-    seed: int
-    case: int
-    formula_alpha: float
-    measured_alpha: float
-    matches: bool
-    witness: tuple[int, ...]
-    exhaustive: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "rule": self.rule,
-            "seed": self.seed,
-            "case": self.case,
-            "formula_alpha": self.formula_alpha,
-            "measured_alpha": self.measured_alpha,
-            "matches": self.matches,
-            "witness": list(self.witness),
-            "exhaustive": self.exhaustive,
-        }
-
-
-def theorem_r4_report(m: int, n: int, rule: str = "round-robin", seed: int = 0) -> SplitExpanderReport:
-    """Measure the split-of-K_{m,n} expansion at subset size n/2 exactly."""
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
-    if not n <= m <= 2 * n:
-        raise ValueError(f"requires n <= m <= 2n, got (m, n) = ({m}, {n})")
-    size = n // 2
-    _gate(m, size, size)
-    split = vertex_split(complete_bipartite(m, n), rule, seed)
-    best_ratio, best_subset = _search(_neighbor_masks(split.split_graph, "left"), size, size)
-    if m == n:
-        case, formula = 1, 1 + 2 / n
-    elif m == 2 * n:
-        case, formula = 2, 1.0
-    else:
-        case, formula = 3, 1 + ((m - n // 2) - n / 2) / n
-    return SplitExpanderReport(
-        m=m,
-        n=n,
-        rule=rule,
-        seed=seed,
-        case=case,
-        formula_alpha=formula,
-        measured_alpha=best_ratio,
-        matches=abs(best_ratio - formula) <= 1e-9,
-        witness=best_subset,
-        exhaustive=True,
-    )
-

@@ -307,6 +307,15 @@ def test_code_pipeline_json(tmp_path):
     assert rule["feasible"] is False
 
 
+def test_code_pipeline_beyond_side_24_is_exhaustive(tmp_path):
+    out_json = tmp_path / "code.json"
+    assert run(["code", "--pipeline", "26", "--json", str(out_json)]) == 0
+    report = json.loads(out_json.read_text(encoding="utf-8"))
+    lossless = next(f for f in report["findings"] if f["type"] == "lossless")
+    assert lossless["alpha"] == 7.0  # (n1 + 2) / 4
+    assert lossless["exhaustive"] is True
+
+
 def test_code_graph_and_formats(tmp_path):
     graph = _write_graph(tmp_path, bigraph.complete_bipartite(2, 1))
     pchk = tmp_path / "code.pchk"
@@ -358,13 +367,13 @@ def test_generators_refuse_before_building_an_edge_set(monkeypatch, capsys):
     monkeypatch.setattr(eccode, "complete_bipartite", recorder)
     assert run(["gen", "--complete", "100000", "100000"]) == 2
     assert run(["code", "--pipeline", "20000"]) == 2
-    assert run(["code", "--pipeline", "26"]) == 2
+    assert run(["code", "--pipeline", "4414"]) == 2  # the smallest even n1 over the budget
     assert run(["code", "--pipeline", "1" + "0" * 400]) == 2
-    limits = "(limits: side 24, cap 12)"
+    budget = f"exceeds the budget of {expansion.SUBSET_BUDGET} subsets"
     assert capsys.readouterr().err.splitlines() == [
         f"error: 10000000000 edges exceed the limit {bigraph.MAX_EDGES}",
-        f"error: exhaustive enumeration infeasible: 200010000 subsets for side size 20000, cap 2 {limits}",
-        f"error: exhaustive enumeration infeasible: 351 subsets for side size 26, cap 2 {limits}",
+        f"error: exhaustive enumeration infeasible: side size 20000, cap 2 {budget}",
+        f"error: exhaustive enumeration infeasible: side size 4414, cap 2 {budget}",
         f"error: n1 = 1{'0' * 400} exceeds the side limit {bigraph.MAX_SIDE}",
     ]
     assert built == []

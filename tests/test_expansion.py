@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import time
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,6 @@ from bipspec.expansion import (
     ExpansionReport,
     check_lossless_feasible,
     lossless_parameters,
-    theorem_r4_report,
     vertex_expansion,
 )
 from bipspec.vsplit import SPLIT_RULES, vertex_split
@@ -62,12 +62,17 @@ def test_kernel_matches_set_brute_force():
 
 
 def test_sampled_result_pinned():
-    # pinned: the seed fixes the draws, so alpha and the witness must not move
+    # pinned: the seed fixes the draws, so alpha and the witness must not move;
+    # side 30 at cap 9 is 22,964,086 subsets, over the budget
     g = _random_graph(random.Random(9), 30, 14, 0.25)
-    report = vertex_expansion(g, "left", 4, seed=5, samples=2000)
+    report = vertex_expansion(g, "left", 9, seed=5, samples=2000)
     assert not report.exhaustive
-    assert report.alpha == 4 / 3
-    assert report.witness == (13, 23, 26)
+    assert report.alpha == 10 / 9
+    assert report.witness == (0, 1, 4, 13, 14, 16, 20, 23, 25)
+    # side 30 at cap 4 is 31,930 subsets, searched exactly
+    report = vertex_expansion(g, "left", 4, seed=5, samples=2000)
+    assert report.exhaustive
+    assert (report.alpha, report.witness) == _brute_expansion(g, "left", 4) == (1.25, (4, 12, 16, 25))
 
 
 def test_split_k84_alpha():
@@ -123,21 +128,48 @@ def test_left_regular_alpha_at_most_degree():
 
 
 def test_exhaustive_refusal_names_estimate():
+    # n1 = 4414 at cap 2 is 4414 + C(4414, 2) = 9,743,905 subsets
     message = (
-        "exhaustive enumeration infeasible: 2625 subsets for side size 25, cap 3 "
-        "(limits: side 24, cap 12)"
+        "exhaustive enumeration infeasible: side size 4414, cap 2 "
+        f"exceeds the budget of {expansion.SUBSET_BUDGET} subsets"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        check_lossless_feasible(25, 0.14)
+        check_lossless_feasible(4414, 1 / 2207)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        lossless_parameters(complete_bipartite(25, 3), 0.14)
+        lossless_parameters(complete_bipartite(4414, 1), 1 / 2207)
+
+
+def test_refusal_stops_at_the_budget():
+    # summing C(100000, s) over s <= 50000 would take minutes; the gate
+    # stops at s = 2, where the sum first passes the budget
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="side size 100000, cap 50000 exceeds the budget"):
+        check_lossless_feasible(100_000, 0.5)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_decides_exhaustive():
+    # an edgeless side is searched in one pass, so every request is cheap;
+    # with no samples the sampled path reports alpha = inf
+    for side in range(1, 41):
+        g = build(side, 1, [])
+        for cap in range(1, side + 1):
+            report = vertex_expansion(g, "left", cap, samples=0)
+            fits = sum(math.comb(side, s) for s in range(1, cap + 1)) <= expansion.SUBSET_BUDGET
+            assert report.exhaustive == fits, (side, cap)
+            assert report.alpha == (0.0 if fits else math.inf)
+            if side <= 24 and cap <= 12:
+                assert report.exhaustive
 
 
 def test_sampled_mode_flagged():
-    g = complete_bipartite(25, 3)
-    report = vertex_expansion(g, "left", 3, samples=500)
+    # side 400 at cap 3 is 10,666,600 subsets, over the budget
+    report = vertex_expansion(complete_bipartite(400, 3), "left", 3, samples=500)
     assert not report.exhaustive
     assert report.alpha >= 1.0  # complete bipartite: every subset reaches all of Y
+    report = vertex_expansion(complete_bipartite(25, 3), "left", 3)
+    assert report.exhaustive
+    assert (report.alpha, report.witness) == (1.0, (0, 1, 2))
 
 
 def test_expansion_report_schema():
@@ -166,6 +198,26 @@ def test_lossless_split_k84():
     assert params.epsilon == (8 - 2) / (2 * 8)
     assert params.epsilon < 0.5
     assert params.alpha == pytest.approx(params.D * (1 - params.epsilon), abs=1e-12)
+
+
+def _round_robin_split_of_k(n1: int):
+    """The round-robin split of K_{n1, n1/2}, built from its closed form: copy
+    a of right vertex j takes the left window j .. j + n1/2 - 1 (mod n1) and
+    copy b, at index n1/2 + j, takes the rest."""
+    d1 = n1 // 2
+    return build(n1, n1, [(x, j if (x - j) % n1 < d1 else d1 + j) for j in range(d1) for x in range(n1)])
+
+
+def test_lossless_on_pipeline_splits_matches_the_closed_form():
+    for n1 in (8, 98):
+        split = vertex_split(complete_bipartite(n1, n1 // 2)).split_graph
+        assert split.sorted_edges() == _round_robin_split_of_k(n1).sorted_edges()
+    # gamma = 1/d1 gives cap 2 at every n1, although (1.0/d1) * n1 falls just
+    # below 2 at n1 = 98, 196, 206, 214, 322, 374, 392 and 394
+    for n1 in range(8, 401, 2):
+        params = lossless_parameters(_round_robin_split_of_k(n1), 1.0 / (n1 // 2))
+        assert params.alpha == (n1 + 2) / 4, n1
+        assert params.epsilon == pytest.approx((n1 - 2) / (2 * n1), abs=1e-12), n1
 
 
 def test_lossless_singleton_cap_gives_epsilon_zero():
@@ -213,8 +265,7 @@ def test_lossless_report_reused_only_when_exhaustive_left_at_the_cap(monkeypatch
 
 def test_lossless_feasibility_check_refuses_as_lossless_parameters():
     # left-regular graphs of 4, 24 and 26 left vertices at a gamma that is
-    # not finite, or whose cap is below 1, feasible or above the cap limit,
-    # and on a side above the side limit
+    # not finite, or whose cap is below 1, within the budget or over it
     cases = [(4, math.nan), (4, 0.1), (24, 1 / 12), (24, 13 / 24), (26, 1 / 13)]
     for n1, gamma in cases:
         g = complete_bipartite(n1, 2)
@@ -225,46 +276,6 @@ def test_lossless_feasibility_check_refuses_as_lossless_parameters():
                 check_lossless_feasible(n1, gamma)
         else:
             check_lossless_feasible(n1, gamma)
-
-
-def _brute_alpha_at_size(g, size: int) -> float:
-    neighbors = [set(nb) for nb in g.left_neighbors()]
-    return min(
-        len(set().union(*(neighbors[v] for v in subset))) / size
-        for subset in combinations(range(g.n1), size)
-    )
-
-
-def test_theorem_r4_cases():
-    rep = theorem_r4_report(6, 6)
-    assert rep.case == 1
-    assert rep.formula_alpha == pytest.approx(1 + 2 / 6, abs=1e-12)
-    split = vertex_split(complete_bipartite(6, 6)).split_graph
-    assert rep.measured_alpha == _brute_alpha_at_size(split, 3)
-
-    rep = theorem_r4_report(12, 6)
-    assert rep.case == 2
-    assert rep.formula_alpha == 1.0
-
-    rep = theorem_r4_report(8, 6)
-    assert rep.case == 3
-    assert rep.formula_alpha == pytest.approx(1 + ((8 - 3) - 3) / 6, abs=1e-12)
-    split = vertex_split(complete_bipartite(8, 6)).split_graph
-    assert rep.measured_alpha == _brute_alpha_at_size(split, 3)
-
-
-def test_theorem_r4_witness_pinned():
-    rep = theorem_r4_report(8, 6, "seeded-random", 3)
-    assert rep.witness == (3, 4, 6)
-    split = vertex_split(complete_bipartite(8, 6), "seeded-random", 3).split_graph
-    assert rep.measured_alpha == _brute_alpha_at_size(split, 3)
-
-
-def test_theorem_r4_contract():
-    with pytest.raises(ValueError, match="even"):
-        theorem_r4_report(7, 5)
-    with pytest.raises(ValueError, match="n <= m <= 2n"):
-        theorem_r4_report(20, 6)
 
 
 def _both_sides_match_brute(g, caps=None) -> None:
@@ -314,23 +325,3 @@ def _small_graphs(draw):
 @given(_small_graphs())
 def test_search_matches_enumeration_property(g):
     _both_sides_match_brute(g)
-
-
-def _brute_at_size(g, size: int) -> tuple[float, tuple[int, ...]]:
-    """First strict minimum of |N(S)|/|S| over left subsets of one size, in lex order."""
-    neighbors = [set(nb) for nb in g.left_neighbors()]
-    best: tuple[float, tuple[int, ...]] = (math.inf, ())
-    for subset in combinations(range(g.n1), size):
-        ratio = len(set().union(*(neighbors[v] for v in subset))) / size
-        if ratio < best[0]:
-            best = (ratio, subset)
-    return best
-
-
-@pytest.mark.parametrize("rule", SPLIT_RULES)
-def test_theorem_r4_matches_fixed_size_brute_force(rule):
-    for n in range(2, 11, 2):
-        for m in range(n, 2 * n + 1):
-            rep = theorem_r4_report(m, n, rule)
-            split = vertex_split(complete_bipartite(m, n), rule, 0).split_graph
-            assert (rep.measured_alpha, rep.witness) == _brute_at_size(split, n // 2), (m, n)
