@@ -229,14 +229,12 @@ def criterion_6() -> CriterionResult:
         if split.degree_profile().left_degrees != g.degree_profile().left_degrees:
             failures.append(f"graph {i}: left degrees changed")
         right_deg = g.degree_profile().right_degrees
-        for j, sm in enumerate(result.mapping):
-            da, db = len(sm.a_neighbors), len(sm.b_neighbors)
-            if da + db != right_deg[j] or abs(da - db) != right_deg[j] % 2:
+        halves = split.right_neighbors()
+        for j, d in enumerate(right_deg):
+            da, db = len(halves[j]), len(halves[g.n2 + j])
+            if da + db != d or abs(da - db) != d % 2:
                 failures.append(f"graph {i}: split of y{j} has degrees ({da}, {db})")
-        shared = {x for sm in result.mapping for x in sm.a_neighbors} & {
-            x for sm in result.mapping for x in sm.b_neighbors
-        }
-        if not shared:
+        if not set().union(*halves[: g.n2]) & set().union(*halves[g.n2 :]):
             failures.append(f"graph {i}: N(Y_a) and N(Y_b) disjoint")
     return CriterionResult(
         "C6",
@@ -249,7 +247,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     """K_{5,5} split: lambda2' matches the circulant oracle; kappa' >= 2."""
     split = vsplit.vertex_split(complete_bipartite(5, 5), "round-robin", 0)
-    report = vsplit.theorem_r1_check(split, k=2)
+    report = vsplit.theorem_r1_check(split, 2, vsplit.measure_split(split))
     # independent oracle: the round-robin split of K_{5,5} is a pair of
     # circulants over Z_5, so its singular values have a closed form
     singular = sorted(

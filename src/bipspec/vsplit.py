@@ -24,20 +24,12 @@ SPLIT_RULES = ("round-robin", "contiguous", "seeded-random")
 
 
 @dataclass(frozen=True)
-class SplitMapping:
-    """Destination copies and assigned neighbor sets for one original y."""
-
-    a_index: int
-    b_index: int
-    a_neighbors: tuple[int, ...]
-    b_neighbors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class VertexSplitResult:
+    """The copies of original right vertex j are the split graph's right
+    vertices j (y_a) and n2 + j (y_b), whose neighbour tuples are its halves."""
+
     original: BipartiteGraph
     split_graph: BipartiteGraph
-    mapping: tuple[SplitMapping, ...]
     rule: str
     warnings: tuple[str, ...]
 
@@ -76,27 +68,21 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
 
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
-    mapping: list[SplitMapping] = []
     isolated: list[int] = []
     for j, nb in enumerate(g.right_neighbors()):
         d = len(nb)
         da = (d + 1) // 2
         if d == 0:
             isolated.append(j)
-            a_set: tuple[int, ...] = ()
+            chosen: set[int] = set()
         elif rule == "round-robin":
-            positions = {(j + t) % d for t in range(da)}
-            a_set = tuple(nb[p] for p in sorted(positions))
+            chosen = {nb[(j + t) % d] for t in range(da)}
         elif rule == "contiguous":
-            a_set = tuple(nb[:da])
+            chosen = set(nb[:da])
         else:
-            a_set = tuple(sorted(rng.sample(nb, da)))
-        chosen = set(a_set)
-        b_set = tuple(x for x in nb if x not in chosen)
-        a_idx, b_idx = j, g.n2 + j
-        edges.extend((x, a_idx) for x in a_set)
-        edges.extend((x, b_idx) for x in b_set)
-        mapping.append(SplitMapping(a_idx, b_idx, a_set, b_set))
+            chosen = set(rng.sample(nb, da))
+        edges.extend((x, j) for x in nb if x in chosen)
+        edges.extend((x, g.n2 + j) for x in nb if x not in chosen)
     if isolated:
         warnings.append(
             f"right vertices of degree 0: {len(isolated)} (first {isolated[0]}); "
@@ -104,18 +90,16 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
         )
 
     split_graph = build(g.n1, 2 * g.n2, edges)
-    shared = {x for sm in mapping for x in sm.a_neighbors} & {
-        x for sm in mapping for x in sm.b_neighbors
-    }
-    if not shared:
+    halves = split_graph.right_neighbors()
+    if not set().union(*halves[: g.n2]) & set().union(*halves[g.n2 :]):
         warnings.append("N(Y_a) and N(Y_b) share no left vertex")
-    return VertexSplitResult(g, split_graph, tuple(mapping), rule, tuple(warnings))
+    return VertexSplitResult(g, split_graph, rule, tuple(warnings))
 
 
 def split_sidecar(result: VertexSplitResult) -> dict:
     """JSON sidecar accompanying the split graph's edge list."""
     return {
-        "mapping": [[sm.a_index, sm.b_index] for sm in result.mapping],
+        "mapping": [[j, result.original.n2 + j] for j in range(result.original.n2)],
         "rule": result.rule,
         "warnings": list(result.warnings),
     }
@@ -165,14 +149,13 @@ def measure_split(split: VertexSplitResult) -> tuple[float, int]:
 
 def _criterion_report(
     theorem: str,
-    split: VertexSplitResult,
     k: int,
     threshold: float,
     pre: bool,
     notes: str,
-    measured: tuple[float, int] | None,
+    measured: tuple[float, int],
 ) -> ConnectivityCriterionReport:
-    lambda2p, kappa = measured or measure_split(split)
+    lambda2p, kappa = measured
     return ConnectivityCriterionReport(
         theorem=theorem,
         k=k,
@@ -187,11 +170,11 @@ def _criterion_report(
 
 
 def theorem_r1_check(
-    split: VertexSplitResult, k: int, measured: tuple[float, int] | None = None
+    split: VertexSplitResult, k: int, measured: tuple[float, int]
 ) -> ConnectivityCriterionReport:
     """Regular-graph criterion: threshold (2k-1)/sqrt(2) on lambda2'.
 
-    measured is measure_split(split) when the caller already has it.
+    measured is measure_split(split).
     """
     notes = []
     if not split.original.degree_profile().is_regular:
@@ -202,15 +185,15 @@ def theorem_r1_check(
     if delta_prime < k:
         notes.append(f"split minimum degree {delta_prime} < k = {k}")
     threshold = (2 * k - 1) / math.sqrt(2.0)
-    return _criterion_report("r1", split, k, threshold, not notes, "; ".join(notes), measured)
+    return _criterion_report("r1", k, threshold, not notes, "; ".join(notes), measured)
 
 
 def theorem_r2_check(
-    split: VertexSplitResult, k: int, measured: tuple[float, int] | None = None
+    split: VertexSplitResult, k: int, measured: tuple[float, int]
 ) -> ConnectivityCriterionReport:
     """Biregular criterion: threshold n2*(2k-1)/sqrt(2*n1*n2) on lambda2'.
 
-    measured is measure_split(split) when the caller already has it.
+    measured is measure_split(split).
     """
     g = split.original
     notes = []
@@ -219,4 +202,4 @@ def theorem_r2_check(
     if k < 2:
         notes.append(f"requires k >= 2, got {k}")
     threshold = g.n2 * (2 * k - 1) / math.sqrt(2 * g.n1 * g.n2)
-    return _criterion_report("r2", split, k, threshold, not notes, "; ".join(notes), measured)
+    return _criterion_report("r2", k, threshold, not notes, "; ".join(notes), measured)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bipspec import bigraph
 from bipspec.bigraph import (
     BipartiteGraph,
+    DegreeProfile,
     build,
     complete_bipartite,
     edge_connectivity,
@@ -518,6 +520,82 @@ def test_edge_list_write_read_roundtrip(n1, n2, data):
     assert write_edge_list(read_edge_list(text)) == text
 
 
+def _seed_left_neighbors(g) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n1)]
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+    return adj
+
+
+def _seed_right_neighbors(g) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n2)]
+    for u, v in sorted(g.edges, key=lambda e: (e[1], e[0])):
+        adj[v].append(u)
+    return adj
+
+
+def _seed_degree_profile(g) -> DegreeProfile:
+    left_count = [0] * g.n1
+    right_count = [0] * g.n2
+    for u, v in g.edges:
+        left_count[u] += 1
+        right_count[v] += 1
+    left, right = tuple(left_count), tuple(right_count)
+    delta = min(min(left), min(right))
+    left_regular = len(set(left)) == 1
+    biregular = left_regular and len(set(right)) == 1
+    regular = biregular and left[0] == right[0]
+    return DegreeProfile(left, right, delta, left_regular, biregular, regular)
+
+
+def _seed_vertex_adjacency(g) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(g.n1 + v)
+        adj[g.n1 + v].append(u)
+    return adj
+
+
+def _seed_is_connected(g) -> bool:
+    if g.n <= 1:
+        return True
+    adj = _seed_vertex_adjacency(g)
+    seen = [False] * g.n
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                count += 1
+                queue.append(y)
+    return count == g.n
+
+
+def _seed_write_edge_list(g) -> str:
+    lines = [f"bip {g.n1} {g.n2}"]
+    lines += [f"e {u} {v}" for u, v in sorted(g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_cached_adjacency_matches_per_call_edge_walks(n1, n2, data):
+    # the edge walks each reader ran on every call before the graph kept
+    # one derivation; the empty edge set and isolated vertices are drawn too
+    pairs = [(u, v) for u in range(n1) for v in range(n2)]
+    g = build(n1, n2, data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
+    assert [list(nb) for nb in g.left_neighbors()] == _seed_left_neighbors(g)
+    assert [list(nb) for nb in g.right_neighbors()] == _seed_right_neighbors(g)
+    assert g.degree_profile() == _seed_degree_profile(g)
+    assert g.is_connected() == _seed_is_connected(g)
+    adj = bigraph._vertex_adjacency(g)
+    assert [set(nb) for nb in adj] == [set(nb) for nb in _seed_vertex_adjacency(g)]
+    assert write_edge_list(g) == _seed_write_edge_list(g)
+
+
 def test_edge_list_reports_the_first_bad_line():
     # a bad edge before a malformed line is reported, and the other way round
     assert _outcome(read_edge_list, "bip 2 2\ne 0 0\ne 0 0\nx\n") == (
@@ -542,7 +620,7 @@ def test_edge_list_reader_paths_agree_at_scale():
     assert bigraph._read_canonical(text) == g
     assert read_edge_list(text) == g and write_edge_list(read_edge_list(text)) == text
     lines = text.splitlines(keepends=True)
-    u, v = g.sorted_edges()[2990]
+    u, v = sorted(g.edges)[2990]
     lines[2991] = f"e {u} 60\n"  # line 2992 of the file
     bad = "".join(lines)
     assert bigraph._read_canonical(bad) is None

@@ -141,6 +141,30 @@ def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
     assert (len(eig), len(kappa)) == (1, 1)
 
 
+def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch):
+    derivation = bigraph.BipartiteGraph.__dict__["_adjacency"]
+    derive = derivation.func
+    graphs = []
+
+    def counted(g):
+        graphs.append(g)
+        return derive(g)
+
+    monkeypatch.setattr(derivation, "func", counted)
+    k55 = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5), "k55.bip")
+    k84_split = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph, "s.bip")
+    for argv, derived in [
+        (["split", "--graph", k55, "--k", "2"], 2),  # the base graph and its split
+        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 1),
+        (["bounds", "--graph", k55], 1),
+        (["code", "--pipeline", "8"], 2),  # K_{8,4} and its split
+    ]:
+        graphs.clear()
+        assert run(argv) == 0
+        assert len(graphs) == derived, argv
+        assert len({id(g) for g in graphs}) == derived, argv
+
+
 def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
     g = vertex_split(bigraph.complete_bipartite(8, 4)).split_graph
     graph = _write_graph(tmp_path, g)

@@ -9,6 +9,7 @@ import pytest
 from bipspec.bigraph import build, complete_bipartite, edge_connectivity, random_tree
 from bipspec.vsplit import (
     SPLIT_RULES,
+    measure_split,
     split_sidecar,
     theorem_r1_check,
     theorem_r2_check,
@@ -31,16 +32,13 @@ def test_split_k84_canonical_example():
     split = result.split_graph
     assert (split.n1, split.n2) == (8, 8)
     assert split.m == 32
-    for sm in result.mapping:
-        assert len(sm.a_neighbors) == 4
-        assert len(sm.b_neighbors) == 4
+    assert split.degree_profile().right_degrees == (4,) * 8
     assert result.warnings == ()
 
 
 def test_split_k55_odd_degrees_and_warning():
     result = vertex_split(complete_bipartite(5, 5))
-    for sm in result.mapping:
-        assert (len(sm.a_neighbors), len(sm.b_neighbors)) == (3, 2)
+    assert result.split_graph.degree_profile().right_degrees == (3,) * 5 + (2,) * 5
     assert any("n1 > n2" in w for w in result.warnings)
 
 
@@ -61,22 +59,24 @@ def test_split_invariants_on_min_degree_4_graphs():
         assert split.m == g.m
         assert split.degree_profile().left_degrees == g.degree_profile().left_degrees
         right = g.degree_profile().right_degrees
-        for j, sm in enumerate(result.mapping):
-            da, db = len(sm.a_neighbors), len(sm.b_neighbors)
-            assert da + db == right[j]
-            assert abs(da - db) == right[j] % 2
+        halves = split.right_neighbors()
+        for j, d in enumerate(right):
+            da, db = len(halves[j]), len(halves[g.n2 + j])
+            assert da + db == d
+            assert abs(da - db) == d % 2
             assert da >= db  # y_a takes the larger half
-        n_a = {x for sm in result.mapping for x in sm.a_neighbors}
-        n_b = {x for sm in result.mapping for x in sm.b_neighbors}
+        n_a = set().union(*halves[: g.n2])
+        n_b = set().union(*halves[g.n2 :])
         assert n_a & n_b
 
 
 def test_split_mapping_index_layout():
     g = complete_bipartite(6, 3)
     result = vertex_split(g)
-    for j, sm in enumerate(result.mapping):
-        assert sm.a_index == j
-        assert sm.b_index == g.n2 + j
+    assert split_sidecar(result)["mapping"] == [[j, g.n2 + j] for j in range(g.n2)]
+    halves = result.split_graph.right_neighbors()
+    for j, nb in enumerate(g.right_neighbors()):
+        assert sorted(halves[j] + halves[g.n2 + j]) == list(nb)
 
 
 def test_split_deterministic_all_rules():
@@ -134,7 +134,7 @@ def _circulant_lambda2() -> float:
 
 def test_theorem_r1_k55():
     split = vertex_split(complete_bipartite(5, 5), "round-robin", 0)
-    report = theorem_r1_check(split, k=2)
+    report = theorem_r1_check(split, 2, measure_split(split))
     assert report.threshold == pytest.approx((2 * 2 - 1) / math.sqrt(2), abs=1e-12)
     assert report.threshold == pytest.approx(2.12132, abs=1e-5)
     assert report.lambda2_prime == pytest.approx(_circulant_lambda2(), abs=1e-8)
@@ -146,7 +146,7 @@ def test_theorem_r1_k55():
 
 def test_theorem_r1_preconditions():
     split = vertex_split(complete_bipartite(8, 4))  # not regular
-    report = theorem_r1_check(split, k=2)
+    report = theorem_r1_check(split, 2, measure_split(split))
     assert not report.preconditions_met
     assert "regular" in report.notes
     assert report.lambda2_prime > 0  # still evaluated observationally
@@ -155,20 +155,21 @@ def test_theorem_r1_preconditions():
 def test_theorem_r2_thresholds():
     g = complete_bipartite(8, 4)
     split = vertex_split(g)
-    report = theorem_r2_check(split, k=2)
+    report = theorem_r2_check(split, 2, measure_split(split))
     assert report.threshold == pytest.approx(4 * 3 / math.sqrt(64), abs=1e-12)
     assert report.threshold == 1.5
     assert report.preconditions_met
 
     g55 = complete_bipartite(5, 5)
-    r2 = theorem_r2_check(vertex_split(g55), k=2)
+    split55 = vertex_split(g55)
+    r2 = theorem_r2_check(split55, 2, measure_split(split55))
     assert r2.threshold == pytest.approx((2 * 2 - 1) / math.sqrt(2), abs=1e-12)
 
 
 def test_theorem_r2_non_biregular():
     tree = random_tree(9, "balanced", 4)
     split = vertex_split(tree)
-    report = theorem_r2_check(split, k=2)
+    report = theorem_r2_check(split, 2, measure_split(split))
     assert not report.preconditions_met
     assert "biregular" in report.notes
     assert report.measured_kappa == edge_connectivity(split.split_graph)
@@ -176,7 +177,7 @@ def test_theorem_r2_non_biregular():
 
 def test_criterion_report_schema():
     split = vertex_split(complete_bipartite(5, 5))
-    d = theorem_r1_check(split, 2).to_json_dict()
+    d = theorem_r1_check(split, 2, measure_split(split)).to_json_dict()
     assert set(d) == {
         "theorem",
         "k",
