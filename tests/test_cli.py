@@ -142,27 +142,31 @@ def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
 
 
 def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch):
-    derivation = bigraph.BipartiteGraph.__dict__["_adjacency"]
-    derive = derivation.func
-    graphs = []
+    derived = []
+    for side in ("left", "right"):
+        derivation = bigraph.BipartiteGraph.__dict__[f"_{side}_adjacency"]
 
-    def counted(g):
-        graphs.append(g)
-        return derive(g)
+        def counted(g, derive=derivation.func, side=side):
+            derived.append((side, id(g)))
+            return derive(g)
 
-    monkeypatch.setattr(derivation, "func", counted)
+        monkeypatch.setattr(derivation, "func", counted)
     k55 = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5), "k55.bip")
     k84_split = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph, "s.bip")
-    for argv, derived in [
-        (["split", "--graph", k55, "--k", "2"], 2),  # the base graph and its split
-        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 1),
-        (["bounds", "--graph", k55], 1),
-        (["code", "--pipeline", "8"], 2),  # K_{8,4} and its split
+    # (command, left derivations, right derivations)
+    for argv, left, right in [
+        (["split", "--graph", k55, "--k", "2"], 2, 2),  # the base graph and its split
+        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 1, 1),
+        (["expansion", "--graph", k84_split, "--cap", "3"], 1, 0),  # left masks only
+        (["bounds", "--graph", k55], 1, 1),
+        (["code", "--pipeline", "8"], 2, 2),  # K_{8,4} and its split
+        (["gen", "--complete", "6", "4", "--out", str(tmp_path / "g.bip")], 1, 0),  # the writer
     ]:
-        graphs.clear()
+        derived.clear()
         assert run(argv) == 0
-        assert len(graphs) == derived, argv
-        assert len({id(g) for g in graphs}) == derived, argv
+        assert len(set(derived)) == len(derived), argv  # each side at most once per graph
+        sides = [side for side, _ in derived]
+        assert (sides.count("left"), sides.count("right")) == (left, right), argv
 
 
 def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):

@@ -304,10 +304,15 @@ def test_search_isolated_vertex_and_complete_graph():
     assert vertex_expansion(k, "left", 4).witness == (0, 1, 2, 3)
 
 
-def test_search_tie_at_smaller_size_wins():
+def test_search_tie_at_smaller_size_wins(monkeypatch):
     # (0, 1) reaches 2 checks and is visited before (2,), which reaches 1:
-    # both have ratio 1, and the smaller subset is the witness
+    # both have ratio 1, and the smaller subset is the witness; at a 1-word
+    # block budget every child is its own block, so the tie crosses blocks
     g = build(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    _both_sides_match_brute(g)
+    report = vertex_expansion(g, "left", 3)
+    assert (report.alpha, report.witness) == (1.0, (2,))
+    monkeypatch.setattr(expansion, "_BLOCK_WORDS", 1)
     _both_sides_match_brute(g)
     report = vertex_expansion(g, "left", 3)
     assert (report.alpha, report.witness) == (1.0, (2,))
@@ -325,3 +330,69 @@ def _small_graphs(draw):
 @given(_small_graphs())
 def test_search_matches_enumeration_property(g):
     _both_sides_match_brute(g)
+
+
+def _dfs_search(masks: list[int], cap: int) -> tuple[float, tuple[int, ...]]:
+    """The recursive depth-first branch and bound over int masks that the
+    vectorised search replaced: subsets in lex order, each prefix's mask
+    ORed once, the same key and the same cut."""
+    side_size = len(masks)
+    best_count, best_size, best = 1, 0, ()  # 1/0 stands for an infinite ratio
+    path: list[int] = []
+
+    def descend(reached: int, start: int) -> None:
+        nonlocal best_count, best_size, best
+        size = len(path) + 1
+        for v in range(start, side_size):
+            union = reached | masks[v]
+            count = union.bit_count()
+            lhs, rhs = count * best_size, best_count * size
+            if lhs < rhs or lhs == rhs and size < best_size:
+                best_count, best_size, best = count, size, (*path, v)
+            if size < cap and count * best_size < best_count * cap:
+                path.append(v)
+                descend(union, v + 1)
+                path.pop()
+
+    descend(0, 0)
+    return (best_count / best_size if best_size else math.inf), best
+
+
+@st.composite
+def _masks_and_cap(draw):
+    # other sides of 65, 128 and 129 vertices need two and three words
+    other = draw(st.one_of(st.integers(1, 10), st.sampled_from([65, 128, 129])))
+    neighbourhoods = st.frozensets(st.integers(0, other - 1), max_size=min(other, 8))
+    masks = [sum(1 << w for w in nb) for nb in draw(st.lists(neighbourhoods, min_size=1, max_size=9))]
+    return masks, draw(st.integers(1, min(len(masks), 6)))
+
+
+@pytest.mark.parametrize("budget", [1, 3, 64, expansion._BLOCK_WORDS])
+@settings(max_examples=150, deadline=None)
+@given(_masks_and_cap())
+def test_search_matches_depth_first_oracle(budget, case):
+    masks, cap = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expansion, "_BLOCK_WORDS", budget)
+        assert expansion._search(masks, cap) == _dfs_search(masks, cap)
+
+
+def test_search_at_the_budget_edge(monkeypatch):
+    # a perfect matching at side 24, cap 12 cuts nothing: every subset has
+    # ratio 1, so all 9,740,685 subsets are examined and (0,) wins the ties
+    matching = build(24, 24, [(v, v) for v in range(24)])
+    report = vertex_expansion(matching, "left", 12)
+    assert (report.alpha, report.witness, report.exhaustive) == (1.0, (0,), True)
+    # on K_{24,1} the seed's best, (0..11) at ratio 1/12, cuts every
+    # singleton: only the seed's 24 sets and the 24 singletons are counted
+    examined = []
+    popcounts = expansion._popcounts
+
+    def counting(words):
+        examined.append(len(words))
+        return popcounts(words)
+
+    monkeypatch.setattr(expansion, "_popcounts", counting)
+    report = vertex_expansion(complete_bipartite(24, 1), "left", 12)
+    assert (report.alpha, report.witness) == (1 / 12, tuple(range(12)))
+    assert sum(examined) == 11 + 13 + 24
