@@ -1,11 +1,18 @@
 """Simple bipartite graphs: construction, generators, connectivity, edge-list I/O.
 
 Vertices are dense integer indices per side: left vertices 0..n1-1, right
-vertices 0..n2-1.  Edges are (left, right) pairs.  Graphs are immutable after
-construction.  Each graph derives each side's sorted neighbour tuples on the
-first read of that side and keeps them; otherwise every function here is
-pure.  Two concurrent first reads compute identical tuples, so concurrent use
-is safe.
+vertices 0..n2-1.  Edges are (left, right) pairs.  A graph stores them in one
+form, the ascending int64 array of edge keys u * n2 + v.  The readers,
+`build`, `complete_bipartite` and `vsplit.vertex_split` make the keys in
+bulk, and the edge count, degrees, the biadjacency matrix, the writer's text
+and the neighbour tuples are derived from them with numpy, without a Python
+loop over the edges: `gen --complete 1000 1000` takes 0.4-0.5 s, where a
+frozenset of pairs per graph took 1.5-1.9 s (Python 3.11, Intel Xeon).
+
+Graphs are immutable after construction.  Each graph derives each side's
+sorted neighbour tuples, and its frozenset of pairs, on the first read and
+keeps them; otherwise every function here is pure.  Two concurrent first
+reads compute identical values, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from collections.abc import Callable
-from operator import itemgetter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -29,10 +37,10 @@ MAX_SIDE = 10**5
 # far past desk-scale graphs and codes.
 MAX_DENSE_CELLS = 10**8
 # Largest edge count a generator builds, checked with MAX_SIDE before any
-# edge is.  An edge costs about 240 bytes while gen builds and writes a graph,
-# its left neighbour tuples included: `gen --complete 1000 1000` (10**6
-# edges) peaks at 242 MB resident and takes 1.3-1.6 s (Python 3.11, Intel
-# Xeon).
+# edge is.  An edge costs about 120 bytes while gen builds and writes a graph,
+# most of it the text of its line: `gen --complete 1000 1000` (10**6 edges)
+# peaks at 152 MB resident and takes 0.40-0.53 s (Python 3.11, Intel Xeon;
+# 242 MB and 1.55-1.86 s with a frozenset of pairs per graph).
 MAX_EDGES = 10**6
 
 
@@ -55,13 +63,54 @@ class DegreeProfile:
     is_regular: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BipartiteGraph:
-    """Immutable simple bipartite graph with explicit sides X (left) and Y (right)."""
+    """Immutable simple bipartite graph with explicit sides X (left) and Y (right).
+
+    `BipartiteGraph(n1, n2, pairs)` takes the edges as (left, right) pairs
+    in any order, a repeated pair being one edge, and refuses an endpoint
+    out of range.  The graph stores them in one form, `keys`: the read-only
+    int64 array of the edge keys u * n2 + v, ascending and without
+    duplicates (each below n1 * n2 <= 10**10 under MAX_SIDE).  Everything
+    else is derived from the keys; graphs are equal when their sides and
+    keys are.
+    """
 
     n1: int
     n2: int
-    edges: frozenset[tuple[int, int]]
+    keys: np.ndarray
+
+    def __init__(self, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> None:
+        pairs = list(dict.fromkeys(edges))  # each edge once, in first-seen order
+        self._keep(n1, n2, _edge_keys(n1, n2, pairs))
+
+    @classmethod
+    def _of_keys(cls, n1: int, n2: int, keys: np.ndarray) -> BipartiteGraph:
+        """The graph of keys, which must already be ascending, duplicate-free
+        int64 edge keys below n1 * n2; they are not checked."""
+        g = cls.__new__(cls)
+        g._keep(n1, n2, keys)
+        return g
+
+    def _keep(self, n1: int, n2: int, keys: np.ndarray) -> None:
+        keys.setflags(write=False)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "keys", keys)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BipartiteGraph):
+            return NotImplemented
+        return (self.n1, self.n2) == (other.n1, other.n2) and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the sides and keys, kept: a graph serves as a key
+        of dicts and sets, where it is hashed again and again."""
+        return hash((self.n1, self.n2, self.keys.tobytes()))
 
     @property
     def n(self) -> int:
@@ -69,19 +118,32 @@ class BipartiteGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.keys.size
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (left, right) pairs, derived on first read and kept."""
+        left, right = np.divmod(self.keys, self.n2)
+        return frozenset(zip(left.tolist(), right.tolist()))
 
     @cached_property
     def _left_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuple of every left vertex, derived on first read
         and kept with the graph."""
-        return _group(self.n1, self.edges, by_right=False)
+        left, right = np.divmod(self.keys, self.n2)
+        return _group(np.bincount(left, minlength=self.n1), right)
 
     @cached_property
     def _right_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuple of every right vertex, derived on first
         read and kept with the graph."""
-        return _group(self.n2, self.edges, by_right=True)
+        right, left = np.divmod(self._transposed_keys(), self.n1)
+        return _group(np.bincount(right, minlength=self.n2), left)
+
+    def _transposed_keys(self) -> np.ndarray:
+        """The keys v * n1 + u of the edges seen from the right, ascending."""
+        left, right = np.divmod(self.keys, self.n2)
+        return np.sort(right * self.n1 + left)
 
     def left_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple for every left vertex."""
@@ -95,13 +157,19 @@ class BipartiteGraph:
         """The n1 x n2 0/1 matrix B with B[u, v] = 1 exactly for edge (u, v)."""
         check_dense(self.n1, self.n2, "biadjacency matrix")
         B = np.zeros((self.n1, self.n2), dtype=np.uint8)
-        for u, v in self.edges:
-            B[u, v] = 1
+        B.reshape(-1)[self.keys] = 1  # key u * n2 + v is B's flat index of (u, v)
         return B
 
     def degree_profile(self) -> DegreeProfile:
-        left = tuple(map(len, self.left_neighbors()))
-        right = tuple(map(len, self.right_neighbors()))
+        return self._degree_profile
+
+    @cached_property
+    def _degree_profile(self) -> DegreeProfile:
+        """The degree profile, derived on first read and kept: a split
+        and its criteria read it four times."""
+        left_ends, right_ends = np.divmod(self.keys, self.n2)
+        left = tuple(np.bincount(left_ends, minlength=self.n1).tolist())
+        right = tuple(np.bincount(right_ends, minlength=self.n2).tolist())
         delta = min(min(left), min(right))
         left_regular = len(set(left)) == 1
         biregular = left_regular and len(set(right)) == 1
@@ -113,32 +181,18 @@ class BipartiteGraph:
         return _reaches_all(_vertex_adjacency(self))
 
 
-def _group(size: int, edges: frozenset[tuple[int, int]], by_right: bool) -> tuple[tuple[int, ...], ...]:
-    """The sorted neighbour tuples of left vertices 0..size-1, or of right
-    ones when by_right: the one place edges are grouped by vertex."""
-    groups: list[list[int]] = [[] for _ in range(size)]
-    add = [nb.append for nb in groups]
-    if by_right:
-        for u, v in edges:
-            add[v](u)
-    else:
-        for u, v in edges:
-            add[u](v)
-    del add  # its bound methods would keep each list alive past its tuple
-    # sorting each vertex's integers beats sorting the edge pairs, whose
-    # every comparison goes through a tuple; each list is dropped once its
-    # tuple is made, so the tuples reuse the lists' memory
-    for x, nb in enumerate(groups):
-        nb.sort()
-        groups[x] = tuple(nb)
-    return tuple(groups)
+def _group(counts: np.ndarray, members: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """members cut into consecutive tuples of counts[x] entries, one per
+    vertex x: the one place edges are grouped by vertex."""
+    flat = iter(members.tolist())
+    return tuple(tuple(islice(flat, c)) for c in counts.tolist())
 
 
 def _vertex_adjacency(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """Neighbor tuples over the whole vertex set: left vertex u is u, right
     vertex v is n1 + v."""
-    n1 = g.n1
-    return [tuple(n1 + v for v in nb) for nb in g.left_neighbors()] + list(g.right_neighbors())
+    left, right = np.divmod(g.keys, g.n2)
+    return [*_group(np.bincount(left, minlength=g.n1), right + g.n1), *g.right_neighbors()]
 
 
 def _reaches_all(adj: list[tuple[int, ...]]) -> bool:
@@ -166,7 +220,7 @@ def build(n1: int, n2: int, edges) -> BipartiteGraph:
     offending pair in the error message.
     """
     _check_sides(n1, n2)
-    return BipartiteGraph(n1, n2, _edge_set(n1, n2, [(u, v) for u, v in edges]))
+    return BipartiteGraph._of_keys(n1, n2, _edge_keys(n1, n2, [(u, v) for u, v in edges]))
 
 
 def _check_sides(n1: int, n2: int) -> None:
@@ -187,17 +241,19 @@ class _EdgeError(ValueError):
         self.index = index
 
 
-def _edge_set(n1: int, n2: int, pairs: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """The pairs as a set, after checking them in bulk: every endpoint in
-    range and no pair twice.  On failure the pairs are walked in order and
-    the first bad one raises _EdgeError."""
-    edges = frozenset(pairs)
-    if len(edges) == len(pairs) and (
-        not pairs
-        or (0 <= min(map(_LEFT, pairs)) and max(map(_LEFT, pairs)) < n1)
-        and (0 <= min(map(_RIGHT, pairs)) and max(map(_RIGHT, pairs)) < n2)
-    ):
-        return edges
+def _edge_keys(n1: int, n2: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """The pairs' ascending edge keys, after checking them in bulk: every
+    endpoint in range and no pair twice.  On failure the pairs are walked in
+    order and the first bad one raises _EdgeError."""
+    if not pairs:
+        return np.empty(0, dtype=np.int64)
+    if (0 <= min(map(_LEFT, pairs)) and max(map(_LEFT, pairs)) < n1) and (
+        0 <= min(map(_RIGHT, pairs)) and max(map(_RIGHT, pairs)) < n2
+    ):  # so every endpoint fits in int64
+        ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+        keys = np.sort(ends[0::2] * n2 + ends[1::2])
+        if not np.any(keys[1:] == keys[:-1]):
+            return keys
     seen: set[tuple[int, int]] = set()
     for index, (u, v) in enumerate(pairs):
         if not (0 <= u < n1 and 0 <= v < n2):
@@ -205,7 +261,7 @@ def _edge_set(n1: int, n2: int, pairs: list[tuple[int, int]]) -> frozenset[tuple
         if (u, v) in seen:
             raise _EdgeError(index, f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    return edges
+    raise AssertionError("unreachable: the bulk check failed, so some pair is bad")
 
 
 def _check_generated(n1: int, n2: int, m: int) -> None:
@@ -225,7 +281,7 @@ def complete_bipartite(m: int, n: int) -> BipartiteGraph:
     if m < 1 or n < 1:
         raise ValueError(f"complete bipartite sides must be >= 1, got ({m}, {n})")
     _check_generated(m, n, m * n)
-    return BipartiteGraph(m, n, frozenset((i, j) for i in range(m) for j in range(n)))
+    return BipartiteGraph._of_keys(m, n, np.arange(m * n, dtype=np.int64))
 
 
 def path_graph(n: int) -> BipartiteGraph:
@@ -389,11 +445,16 @@ def _ascii_int(token: str) -> int:
 
 
 def write_edge_list(g: BipartiteGraph) -> str:
-    """Serialize to the `bip` edge-list text format (edges sorted, 0-based)."""
-    lines = [f"bip {g.n1} {g.n2}"]
-    lines += [f"e {u} {v}" for u, nb in enumerate(g.left_neighbors()) for v in nb]
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    """Serialize to the `bip` edge-list text format (edges sorted, 0-based).
+
+    Edge line `e u v` is the text of "e u " joined to the text of v, each
+    made once per vertex and picked for every edge by its key.
+    """
+    left, right = np.divmod(g.keys, g.n2)
+    heads = np.array([f"e {u} " for u in range(g.n1)], dtype=object)[left]
+    tails = np.array([str(v) for v in range(g.n2)], dtype=object)[right]
+    # the final "" gives the final newline, without a second copy of the text
+    return "\n".join([f"bip {g.n1} {g.n2}", *map(add, heads.tolist(), tails.tolist()), ""])
 
 
 # Canonical edge-list text, exactly as write_edge_list emits it: single
@@ -436,10 +497,12 @@ def _read_canonical(text: str) -> BipartiteGraph | None:
     left, right = ends[0::2], ends[1::2]
     if left.size and (left.max() >= n1 or right.max() >= n2):
         return None
-    edges = frozenset(zip(left.tolist(), right.tolist()))
-    if len(edges) != left.size:  # a duplicate edge
-        return None
-    return BipartiteGraph(n1, n2, edges)
+    keys = left * n2 + right
+    if np.any(keys[1:] <= keys[:-1]):  # not ascending, as the writer leaves them
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):  # a duplicate edge
+            return None
+    return BipartiteGraph._of_keys(n1, n2, keys)
 
 
 def _read_lines(text: str) -> BipartiteGraph:
@@ -484,9 +547,9 @@ def _read_lines(text: str) -> BipartiteGraph:
             problem = f"line {at}: expected edge line 'e <left> <right>'"
             break
     try:
-        edges = _edge_set(n1, n2, pairs)
+        keys = _edge_keys(n1, n2, pairs)
     except _EdgeError as exc:
         raise ValueError(f"line {where[exc.index]}: {exc}") from None
     if problem is not None:
         raise ValueError(problem)
-    return BipartiteGraph(n1, n2, edges)
+    return BipartiteGraph._of_keys(n1, n2, keys)

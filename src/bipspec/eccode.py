@@ -128,8 +128,8 @@ def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     """Parity-check matrix of the factor graph: bits = X, checks = Y."""
     check_dense(g.n2, g.n1, "parity-check matrix")
     H = np.zeros((g.n2, g.n1), dtype=np.uint8)
-    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
-    H[ends[1::2], ends[::2]] = 1  # edge (u, v) is H[v, u]
+    left, right = np.divmod(g.keys, g.n2)
+    H[right, left] = 1  # edge (u, v) is H[v, u]
     return LinearCode.from_matrix(H)
 
 

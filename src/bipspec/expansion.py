@@ -6,10 +6,11 @@ cap 12, for instance).  A larger request degrades to seeded random sampling
 with exhaustive = False in `vertex_expansion`; `lossless_parameters` refuses
 it.
 
-Neighborhoods are int bitmasks and |N(S)| is the bit count of the OR of the
-members' masks.  One gate decides whether a request is exact.  Every exact
-minimum-ratio measurement runs one branch-and-bound search over the masks
-packed into uint64 words.  It compares candidates in exact integers by the
+Neighborhoods are int bitmasks, packed from the rows of the biadjacency
+matrix, and |N(S)| is the bit count of the OR of the members' masks.  One
+gate decides whether a request is exact.  Every exact minimum-ratio
+measurement runs one branch-and-bound search over the masks packed into
+uint64 words.  It compares candidates in exact integers by the
 key (|N(S)|/|S|, |S|, S), so the witness is the first strict minimum in
 (size, lexicographic) order, and it cuts a branch whose prefix P has
 |N(P)|/cap no smaller than the best ratio.  The best starts from the first
@@ -60,8 +61,14 @@ class ExpansionReport:
 
 
 def _neighbor_masks(g: BipartiteGraph, side: str) -> list[int]:
-    neighbors = g.left_neighbors() if side == "left" else g.right_neighbors()
-    return [sum(1 << w for w in nb) for nb in neighbors]
+    """The neighbourhood of each vertex of side as an int, bit w set for
+    neighbour w: a row of the biadjacency matrix (of its transpose for the
+    right side) packed little-endian."""
+    B = g.biadjacency()
+    packed = np.packbits(B if side == "left" else B.T, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 def _gate(side_size: int, cap: int) -> None:

@@ -17,7 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bigraph import BipartiteGraph, build, edge_connectivity
+import numpy as np
+
+from .bigraph import BipartiteGraph, edge_connectivity
 from .spectra import REPORT_TOL, adjacency_matrix, symmetric_eigenvalues
 
 SPLIT_RULES = ("round-robin", "contiguous", "seeded-random")
@@ -66,32 +68,38 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
     if not g.is_connected():
         warnings.append("definition requires a connected graph")
 
-    rng = random.Random(seed)
-    edges: list[tuple[int, int]] = []
-    isolated: list[int] = []
-    for j, nb in enumerate(g.right_neighbors()):
-        d = len(nb)
-        da = (d + 1) // 2
-        if d == 0:
-            isolated.append(j)
-            chosen: set[int] = set()
-        elif rule == "round-robin":
-            chosen = {nb[(j + t) % d] for t in range(da)}
-        elif rule == "contiguous":
-            chosen = set(nb[:da])
-        else:
-            chosen = set(rng.sample(nb, da))
-        edges.extend((x, j) for x in nb if x in chosen)
-        edges.extend((x, g.n2 + j) for x in nb if x not in chosen)
-    if isolated:
+    # every edge listed right vertex by right vertex, each one's neighbours
+    # ascending: edge t is the place[t]-th entry of right[t]'s neighbour tuple
+    right, left = np.divmod(g._transposed_keys(), g.n1)
+    degree = np.bincount(right, minlength=g.n2)
+    start = np.cumsum(degree) - degree
+    place = np.arange(g.m) - start[right]
+    d = degree[right]
+    if rule == "round-robin":
+        to_a = (place - right) % d < (d + 1) // 2
+    elif rule == "contiguous":
+        to_a = place < (d + 1) // 2
+    else:
+        # the sample depends only on the degree, so positions stand in for
+        # the neighbours themselves
+        rng = random.Random(seed)
+        to_a = np.zeros(g.m, dtype=bool)
+        for s, dj in zip(start.tolist(), degree.tolist()):
+            if dj:
+                to_a[[s + p for p in rng.sample(range(dj), (dj + 1) // 2)]] = True
+    isolated = np.flatnonzero(degree == 0)
+    if isolated.size:
         warnings.append(
-            f"right vertices of degree 0: {len(isolated)} (first {isolated[0]}); "
+            f"right vertices of degree 0: {isolated.size} (first {isolated[0]}); "
             "their copies are isolated"
         )
 
-    split_graph = build(g.n1, 2 * g.n2, edges)
-    halves = split_graph.right_neighbors()
-    if not set().union(*halves[: g.n2]) & set().union(*halves[g.n2 :]):
+    n2 = 2 * g.n2
+    keys = np.sort(left * n2 + np.where(to_a, right, g.n2 + right))
+    split_graph = BipartiteGraph._of_keys(g.n1, n2, keys)
+    reaches_a = np.bincount(left[to_a], minlength=g.n1) > 0
+    reaches_b = np.bincount(left[~to_a], minlength=g.n1) > 0
+    if not np.any(reaches_a & reaches_b):
         warnings.append("N(Y_a) and N(Y_b) share no left vertex")
     return VertexSplitResult(g, split_graph, rule, tuple(warnings))
 

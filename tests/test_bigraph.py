@@ -4,6 +4,7 @@ import random
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -594,6 +595,78 @@ def test_cached_adjacency_matches_per_call_edge_walks(n1, n2, data):
     adj = bigraph._vertex_adjacency(g)
     assert [set(nb) for nb in adj] == [set(nb) for nb in _seed_vertex_adjacency(g)]
     assert write_edge_list(g) == _seed_write_edge_list(g)
+
+
+def _loop_group(size: int, edges, by_right: bool) -> tuple[tuple[int, ...], ...]:
+    """The per-edge grouping the graph ran before it kept sorted edge keys."""
+    groups: list[list[int]] = [[] for _ in range(size)]
+    for u, v in edges:
+        if by_right:
+            groups[v].append(u)
+        else:
+            groups[u].append(v)
+    return tuple(tuple(sorted(nb)) for nb in groups)
+
+
+def _loop_biadjacency(g) -> np.ndarray:
+    B = np.zeros((g.n1, g.n2), dtype=np.uint8)
+    for u, v in g.edges:
+        B[u, v] = 1
+    return B
+
+
+@st.composite
+def _pairs_on(draw, sides):
+    """Sides drawn from `sides` and a set of pairs in range: the empty set
+    and isolated vertices are drawn too."""
+    n1, n2 = draw(sides)
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    return n1, n2, draw(st.lists(pair, max_size=40, unique=True))
+
+
+def _check_edge_keys_against_oracles(case, data) -> None:
+    n1, n2, pairs = case
+    g = BipartiteGraph(n1, n2, pairs)
+    edges = frozenset(pairs)
+    assert g.edges == edges and g.m == len(pairs)
+    assert g.left_neighbors() == _loop_group(n1, edges, by_right=False)
+    assert g.right_neighbors() == _loop_group(n2, edges, by_right=True)
+    B = _loop_biadjacency(g)
+    assert np.array_equal(g.biadjacency(), B)
+    assert np.array_equal(parity_check_from_graph(g).H, B.T)
+    text = write_edge_list(g)
+    assert text.encode() == _seed_write_edge_list(g).encode()
+    # the same pairs in any order, through either constructor, are one
+    # graph; a pair repeated to the constructor is one edge
+    shuffled = data.draw(st.permutations(pairs), label="shuffled")
+    for other in (BipartiteGraph(n1, n2, shuffled + shuffled[:2]), build(n1, n2, shuffled)):
+        assert other == g and hash(other) == hash(g)
+    # canonical text takes the bulk path, a comment line the line walk
+    assert read_edge_list(text) == g == read_edge_list("# a comment\n" + text)
+
+
+_SMALL_SIDE = st.integers(1, 9)
+_LARGE_SIDE = st.integers(bigraph.MAX_SIDE - 2, bigraph.MAX_SIDE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _pairs_on(st.one_of(st.tuples(_SMALL_SIDE, _SMALL_SIDE), st.tuples(_SMALL_SIDE, st.just(1)))),
+    st.data(),
+)
+def test_edge_keys_match_per_edge_oracles(case, data):
+    _check_edge_keys_against_oracles(case, data)
+
+
+# one side within 2 of MAX_SIDE, never both, so the dense matrices stay
+# small; each example walks 10^5 vertices in the oracles, hence the few
+@settings(max_examples=12, deadline=None)
+@given(
+    _pairs_on(st.one_of(st.tuples(_LARGE_SIDE, _SMALL_SIDE), st.tuples(_SMALL_SIDE, _LARGE_SIDE))),
+    st.data(),
+)
+def test_edge_keys_match_per_edge_oracles_near_max_side(case, data):
+    _check_edge_keys_against_oracles(case, data)
 
 
 def test_edge_list_reports_the_first_bad_line():

@@ -153,14 +153,16 @@ def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch
         monkeypatch.setattr(derivation, "func", counted)
     k55 = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5), "k55.bip")
     k84_split = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph, "s.bip")
-    # (command, left derivations, right derivations)
+    # (command, left derivations, right derivations); degrees, expansion
+    # masks, the writer and the left half of the connectivity walks read the
+    # edge keys, so they derive no tuples
     for argv, left, right in [
-        (["split", "--graph", k55, "--k", "2"], 2, 2),  # the base graph and its split
-        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 1, 1),
-        (["expansion", "--graph", k84_split, "--cap", "3"], 1, 0),  # left masks only
-        (["bounds", "--graph", k55], 1, 1),
-        (["code", "--pipeline", "8"], 2, 2),  # K_{8,4} and its split
-        (["gen", "--complete", "6", "4", "--out", str(tmp_path / "g.bip")], 1, 0),  # the writer
+        (["split", "--graph", k55, "--k", "2"], 0, 2),  # the base graph and its split
+        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 0, 0),
+        (["expansion", "--graph", k84_split, "--cap", "3"], 0, 0),
+        (["bounds", "--graph", k55], 0, 1),
+        (["code", "--pipeline", "8"], 0, 1),  # K_{8,4}, whose connectivity is checked
+        (["gen", "--complete", "6", "4", "--out", str(tmp_path / "g.bip")], 0, 0),
     ]:
         derived.clear()
         assert run(argv) == 0

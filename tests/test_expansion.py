@@ -318,6 +318,21 @@ def test_search_tie_at_smaller_size_wins(monkeypatch):
     assert (report.alpha, report.witness) == (1.0, (2,))
 
 
+@pytest.mark.parametrize("other", [1, 7, 8, 9, 63, 64, 65, 129])
+def test_neighbor_masks_match_the_per_neighbour_sums(other):
+    # the masks were sum(1 << w) over each vertex's neighbours; the packed
+    # rows must give the same ints on either side, whatever byte or word
+    # boundary the other side's size falls on, with isolated vertices too
+    rng = random.Random(other)
+    for this in (1, 5, 64, 65):
+        for n1, n2 in ((this, other), (other, this)):
+            pairs = [(u, v) for u in range(n1) for v in range(n2) if rng.random() < 0.3]
+            g = build(n1, n2, pairs)
+            for side, neighbors in (("left", g.left_neighbors()), ("right", g.right_neighbors())):
+                expected = [sum(1 << w for w in nb) for nb in neighbors]
+                assert expansion._neighbor_masks(g, side) == expected, (n1, n2, side)
+
+
 @st.composite
 def _small_graphs(draw):
     n1, n2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))

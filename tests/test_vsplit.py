@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipspec.bigraph import build, complete_bipartite, edge_connectivity, random_tree
 from bipspec.vsplit import (
@@ -107,6 +109,56 @@ def test_split_rejects_empty_and_bad_rule():
         vertex_split(BipartiteGraph(2, 2, frozenset()))
     with pytest.raises(ValueError, match="rule"):
         vertex_split(complete_bipartite(2, 2), "furthest-first")
+
+
+def _loop_split_edges(g, rule: str, seed: int) -> tuple[list[tuple[int, int]], bool]:
+    """The per-right-vertex loop vertex_split ran before it assigned edges in
+    bulk: the split's edges, and whether N(Y_a) and N(Y_b) share no left
+    vertex."""
+    rng = random.Random(seed)
+    edges = []
+    for j, nb in enumerate(g.right_neighbors()):
+        d = len(nb)
+        da = (d + 1) // 2
+        if d == 0:
+            chosen = set()
+        elif rule == "round-robin":
+            chosen = {nb[(j + t) % d] for t in range(da)}
+        elif rule == "contiguous":
+            chosen = set(nb[:da])
+        else:
+            chosen = set(rng.sample(nb, da))
+        edges.extend((x, j) for x in nb if x in chosen)
+        edges.extend((x, g.n2 + j) for x in nb if x not in chosen)
+    reach_a = {x for x, y in edges if y < g.n2}
+    reach_b = {x for x, y in edges if y >= g.n2}
+    return edges, not reach_a & reach_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.data(),
+    st.sampled_from(SPLIT_RULES),
+    st.integers(0, 3),
+)
+def test_split_matches_the_per_vertex_loop(n1, n2, data, rule, seed):
+    # isolated right vertices and sparse graphs, where the halves may share
+    # no left vertex, are drawn too
+    pairs = [(u, v) for u in range(n1) for v in range(n2)]
+    g = build(n1, n2, data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    result = vertex_split(g, rule, seed)
+    edges, disjoint = _loop_split_edges(g, rule, seed)
+    assert result.split_graph == build(n1, 2 * n2, edges)
+    assert ("N(Y_a) and N(Y_b) share no left vertex" in result.warnings) == disjoint
+    isolated = [j for j, nb in enumerate(g.right_neighbors()) if not nb]
+    warned = [w for w in result.warnings if w.startswith("right vertices of degree 0")]
+    if isolated:
+        first = isolated[0]
+        assert warned == [f"right vertices of degree 0: {len(isolated)} (first {first}); their copies are isolated"]
+    else:
+        assert warned == []
 
 
 def test_split_warnings_small_graph():
