@@ -229,12 +229,13 @@ def criterion_6() -> CriterionResult:
         if split.degree_profile().left_degrees != g.degree_profile().left_degrees:
             failures.append(f"graph {i}: left degrees changed")
         right_deg = g.degree_profile().right_degrees
-        halves = split.right_neighbors()
+        B = split.biadjacency()  # columns j and n2 + j are the halves of y_j
+        half_deg = B.sum(axis=0).tolist()
         for j, d in enumerate(right_deg):
-            da, db = len(halves[j]), len(halves[g.n2 + j])
+            da, db = half_deg[j], half_deg[g.n2 + j]
             if da + db != d or abs(da - db) != d % 2:
                 failures.append(f"graph {i}: split of y{j} has degrees ({da}, {db})")
-        if not set().union(*halves[: g.n2]) & set().union(*halves[g.n2 :]):
+        if not np.any(B[:, : g.n2].any(axis=1) & B[:, g.n2 :].any(axis=1)):
             failures.append(f"graph {i}: N(Y_a) and N(Y_b) disjoint")
     return CriterionResult(
         "C6",
@@ -288,8 +289,8 @@ def criterion_8() -> CriterionResult:
     from . import expansion
 
     split = vsplit.vertex_split(complete_bipartite(8, 4), "round-robin", 0)
-    neighbors = [set(nb) for nb in split.split_graph.left_neighbors()]
-    min_pair = min(len(neighbors[a] | neighbors[b]) for a, b in combinations(range(8), 2))
+    B = split.split_graph.biadjacency()
+    min_pair = min(int(np.count_nonzero(B[a] | B[b])) for a, b in combinations(range(8), 2))
     params = expansion.lossless_parameters(split.split_graph, 1 / 4)
     checks = {
         "all_pairs_reach_5": min_pair >= 5,

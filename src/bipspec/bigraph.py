@@ -1,18 +1,20 @@
 """Simple bipartite graphs: construction, generators, connectivity, edge-list I/O.
 
 Vertices are dense integer indices per side: left vertices 0..n1-1, right
-vertices 0..n2-1.  Edges are (left, right) pairs.  A graph stores them in one
-form, the ascending int64 array of edge keys u * n2 + v.  The readers,
-`build`, `complete_bipartite` and `vsplit.vertex_split` make the keys in
-bulk, and the edge count, degrees, the biadjacency matrix, the writer's text
-and the neighbour tuples are derived from them with numpy, without a Python
-loop over the edges: `gen --complete 1000 1000` takes 0.4-0.5 s, where a
-frozenset of pairs per graph took 1.5-1.9 s (Python 3.11, Intel Xeon).
+vertices 0..n2-1.  Edges are (left, right) pairs.  A graph is its sides and
+one array, the ascending int64 edge keys u * n2 + v; `build` is the one
+checked constructor from pairs.  The readers, `build`, `complete_bipartite`
+and `vsplit.vertex_split` make the keys in bulk, and the edge count,
+degrees, the biadjacency matrix, the writer's text and the neighbour tuples
+of the connectivity walks are derived from them with numpy, without a
+Python loop over the edges: `gen --complete 1000 1000` takes 0.4-0.5 s,
+where a frozenset of pairs per graph took 1.5-1.9 s (Python 3.11, Intel
+Xeon).
 
-Graphs are immutable after construction.  Each graph derives each side's
-sorted neighbour tuples, and its frozenset of pairs, on the first read and
-keeps them; otherwise every function here is pure.  Two concurrent first
-reads compute identical values, so concurrent use is safe.
+Graphs are immutable after construction.  Each graph derives its degree
+profile and its hash on the first read and keeps them; otherwise every
+function here is pure.  Two concurrent first reads compute identical
+values, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -63,15 +65,14 @@ class DegreeProfile:
     is_regular: bool
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
     """Immutable simple bipartite graph with explicit sides X (left) and Y (right).
 
-    `BipartiteGraph(n1, n2, pairs)` takes the edges as (left, right) pairs
-    in any order, a repeated pair being one edge, and refuses an endpoint
-    out of range.  The graph stores them in one form, `keys`: the read-only
-    int64 array of the edge keys u * n2 + v, ascending and without
-    duplicates (each below n1 * n2 <= 10**10 under MAX_SIDE).  Everything
+    The graph is its sides and `keys`: the read-only int64 array of the edge
+    keys u * n2 + v, ascending and without duplicates (each below
+    n1 * n2 <= 10**10 under MAX_SIDE).  The keys are not checked here;
+    `build` is the checked constructor from (left, right) pairs.  Everything
     else is derived from the keys; graphs are equal when their sides and
     keys are.
     """
@@ -80,23 +81,8 @@ class BipartiteGraph:
     n2: int
     keys: np.ndarray
 
-    def __init__(self, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> None:
-        pairs = list(dict.fromkeys(edges))  # each edge once, in first-seen order
-        self._keep(n1, n2, _edge_keys(n1, n2, pairs))
-
-    @classmethod
-    def _of_keys(cls, n1: int, n2: int, keys: np.ndarray) -> BipartiteGraph:
-        """The graph of keys, which must already be ascending, duplicate-free
-        int64 edge keys below n1 * n2; they are not checked."""
-        g = cls.__new__(cls)
-        g._keep(n1, n2, keys)
-        return g
-
-    def _keep(self, n1: int, n2: int, keys: np.ndarray) -> None:
-        keys.setflags(write=False)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "keys", keys)
+    def __post_init__(self) -> None:
+        self.keys.setflags(write=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -120,38 +106,10 @@ class BipartiteGraph:
     def m(self) -> int:
         return self.keys.size
 
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The (left, right) pairs, derived on first read and kept."""
-        left, right = np.divmod(self.keys, self.n2)
-        return frozenset(zip(left.tolist(), right.tolist()))
-
-    @cached_property
-    def _left_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every left vertex, derived on first read
-        and kept with the graph."""
-        left, right = np.divmod(self.keys, self.n2)
-        return _group(np.bincount(left, minlength=self.n1), right)
-
-    @cached_property
-    def _right_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every right vertex, derived on first
-        read and kept with the graph."""
-        right, left = np.divmod(self._transposed_keys(), self.n1)
-        return _group(np.bincount(right, minlength=self.n2), left)
-
     def _transposed_keys(self) -> np.ndarray:
         """The keys v * n1 + u of the edges seen from the right, ascending."""
         left, right = np.divmod(self.keys, self.n2)
         return np.sort(right * self.n1 + left)
-
-    def left_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple for every left vertex."""
-        return self._left_adjacency
-
-    def right_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple for every right vertex."""
-        return self._right_adjacency
 
     def biadjacency(self) -> np.ndarray:
         """The n1 x n2 0/1 matrix B with B[u, v] = 1 exactly for edge (u, v)."""
@@ -181,18 +139,18 @@ class BipartiteGraph:
         return _reaches_all(_vertex_adjacency(self))
 
 
-def _group(counts: np.ndarray, members: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """members cut into consecutive tuples of counts[x] entries, one per
-    vertex x: the one place edges are grouped by vertex."""
-    flat = iter(members.tolist())
-    return tuple(tuple(islice(flat, c)) for c in counts.tolist())
+def _group(keys: np.ndarray, rows: int, cols: int, shift: int = 0) -> list[tuple[int, ...]]:
+    """Ascending keys r * cols + c cut into one tuple per row r of its
+    entries c + shift, ascending: the one place edges are grouped by vertex."""
+    row, col = np.divmod(keys, cols)
+    flat = iter((col + shift).tolist())
+    return [tuple(islice(flat, c)) for c in np.bincount(row, minlength=rows).tolist()]
 
 
 def _vertex_adjacency(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """Neighbor tuples over the whole vertex set: left vertex u is u, right
     vertex v is n1 + v."""
-    left, right = np.divmod(g.keys, g.n2)
-    return [*_group(np.bincount(left, minlength=g.n1), right + g.n1), *g.right_neighbors()]
+    return _group(g.keys, g.n1, g.n2, g.n1) + _group(g._transposed_keys(), g.n2, g.n1)
 
 
 def _reaches_all(adj: list[tuple[int, ...]]) -> bool:
@@ -220,7 +178,7 @@ def build(n1: int, n2: int, edges) -> BipartiteGraph:
     offending pair in the error message.
     """
     _check_sides(n1, n2)
-    return BipartiteGraph._of_keys(n1, n2, _edge_keys(n1, n2, [(u, v) for u, v in edges]))
+    return BipartiteGraph(n1, n2, _edge_keys(n1, n2, [(u, v) for u, v in edges]))
 
 
 def _check_sides(n1: int, n2: int) -> None:
@@ -281,7 +239,7 @@ def complete_bipartite(m: int, n: int) -> BipartiteGraph:
     if m < 1 or n < 1:
         raise ValueError(f"complete bipartite sides must be >= 1, got ({m}, {n})")
     _check_generated(m, n, m * n)
-    return BipartiteGraph._of_keys(m, n, np.arange(m * n, dtype=np.int64))
+    return BipartiteGraph(m, n, np.arange(m * n, dtype=np.int64))
 
 
 def path_graph(n: int) -> BipartiteGraph:
@@ -460,7 +418,13 @@ def write_edge_list(g: BipartiteGraph) -> str:
 # Canonical edge-list text, exactly as write_edge_list emits it: single
 # spaces, a newline after every line, and ASCII integers of at most six
 # digits, so no side or endpoint can overflow int64 (MAX_SIDE has six).
-_CANONICAL = re.compile(r"bip ([0-9]{1,6}) ([0-9]{1,6})\n((?:e [0-9]{1,6} [0-9]{1,6}\n)*)")
+_CANONICAL_HEADER = re.compile(r"bip ([0-9]{1,6}) ([0-9]{1,6})\n")
+_CANONICAL_EDGES = re.compile(r"(?:e [0-9]{1,6} [0-9]{1,6}\n)*")
+# Characters of the body matched at once, cut after a newline: a match keeps
+# state for every line it repeats over, about 280 bytes a line, so one match
+# of the 10**6-edge body of `gen --complete 1000 1000` peaked at 330 MB
+# resident, and blocks of this size read it within 72 MB.
+_BLOCK_CHARS = 1 << 16
 
 
 def read_edge_list(text: str) -> BipartiteGraph:
@@ -473,8 +437,9 @@ def read_edge_list(text: str) -> BipartiteGraph:
     header, before anything is allocated.
 
     Two paths read the text, chosen from the input alone.  Canonical text
-    (what write_edge_list emits) is matched by one regex, its endpoints are
-    converted in one numpy call and checked in bulk.  Any other text, and
+    (what write_edge_list emits) is matched by one regex for the header and
+    one for the edge lines, a block of whole lines at a time; its endpoints
+    are converted in one numpy call and checked in bulk.  Any other text, and
     canonical text that fails a check, is read line by line; that walk
     builds every error message, so both paths give the same graph or the
     same error.
@@ -486,14 +451,21 @@ def read_edge_list(text: str) -> BipartiteGraph:
 def _read_canonical(text: str) -> BipartiteGraph | None:
     """The graph of canonical edge-list text, or None when the text is not
     canonical or fails a side, range or duplicate check."""
-    match = _CANONICAL.fullmatch(text)
-    if match is None:
+    header = _CANONICAL_HEADER.match(text)
+    if header is None:
         return None
-    n1, n2 = int(match[1]), int(match[2])
+    n1, n2 = int(header[1]), int(header[2])
     if not (1 <= n1 <= MAX_SIDE and 1 <= n2 <= MAX_SIDE):
         return None
+    body = pos = header.end()
+    while pos < len(text):
+        # the block ends after the first newline at or past its nominal end
+        end = text.find("\n", min(pos + _BLOCK_CHARS, len(text)) - 1) + 1 or len(text)
+        if _CANONICAL_EDGES.fullmatch(text, pos, end) is None:
+            return None
+        pos = end
     # the body holds only 'e', digits, spaces and newlines
-    ends = np.fromstring(match[3].replace("e", " "), dtype=np.int64, sep=" ")
+    ends = np.fromstring(text[body:].replace("e", " "), dtype=np.int64, sep=" ")
     left, right = ends[0::2], ends[1::2]
     if left.size and (left.max() >= n1 or right.max() >= n2):
         return None
@@ -502,7 +474,7 @@ def _read_canonical(text: str) -> BipartiteGraph | None:
         keys.sort()
         if np.any(keys[1:] == keys[:-1]):  # a duplicate edge
             return None
-    return BipartiteGraph._of_keys(n1, n2, keys)
+    return BipartiteGraph(n1, n2, keys)
 
 
 def _read_lines(text: str) -> BipartiteGraph:
@@ -552,4 +524,4 @@ def _read_lines(text: str) -> BipartiteGraph:
         raise ValueError(f"line {where[exc.index]}: {exc}") from None
     if problem is not None:
         raise ValueError(problem)
-    return BipartiteGraph._of_keys(n1, n2, keys)
+    return BipartiteGraph(n1, n2, keys)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bigraph import MAX_SIDE, BipartiteGraph, check_dense, complete_bipartite
-from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
+from .expansion import LosslessParams, _pack_rows, check_lossless_feasible, lossless_parameters
 from .vsplit import vertex_split
 
 MAX_ENUM_DIMENSION = 20
@@ -131,14 +131,6 @@ def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     left, right = np.divmod(g.keys, g.n2)
     H[right, left] = 1  # edge (u, v) is H[v, u]
     return LinearCode.from_matrix(H)
-
-
-def _pack_rows(M: np.ndarray) -> np.ndarray:
-    """0/1 rows as uint64 words: column c is bit c % 64 of word c // 64."""
-    rows, cols = M.shape
-    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(M, axis=1, bitorder="little")
-    return packed.view(np.dtype("<u8"))
 
 
 def _gf2_echelon(H: np.ndarray) -> tuple[int, ...]:
@@ -436,7 +428,8 @@ def n2_selection_rule(n1: int) -> N2RuleDiagnostic:
         raise ValueError(f"n1 must be even and >= 2, got {n1}")
     target = n1 * n1 // 2
     low, high = (n1 + 2) / 4, n1 / 2
-    candidates = tuple(x for x in range(1, target + 1) if target % x == 0 and low < x < high)
+    # the integers strictly between low and high
+    candidates = tuple(x for x in range((n1 + 2) // 4 + 1, n1 // 2) if target % x == 0)
     chosen = max(candidates) if candidates else None
     d1 = n1 // 2
     feasible = chosen is not None and d1 <= chosen

@@ -6,19 +6,19 @@ cap 12, for instance).  A larger request degrades to seeded random sampling
 with exhaustive = False in `vertex_expansion`; `lossless_parameters` refuses
 it.
 
-Neighborhoods are int bitmasks, packed from the rows of the biadjacency
-matrix, and |N(S)| is the bit count of the OR of the members' masks.  One
+Neighborhoods are the rows of the biadjacency matrix packed into uint64
+words, and |N(S)| is the bit count of the OR of the members' words.  One
 gate decides whether a request is exact.  Every exact minimum-ratio
-measurement runs one branch-and-bound search over the masks packed into
-uint64 words.  It compares candidates in exact integers by the
-key (|N(S)|/|S|, |S|, S), so the witness is the first strict minimum in
-(size, lexicographic) order, and it cuts a branch whose prefix P has
-|N(P)|/cap no smaller than the best ratio.  The best starts from the first
-dive of a depth-first search; then blocks of at most _BLOCK_WORDS child
-words are expanded at once, each by one numpy OR and bit count, and each
-block's survivors are searched before the next block, so the sets of each
-size are met in lexicographic order.  The sampled path ORs the masks of
-each drawn subset.
+measurement runs one branch-and-bound search over the words.  It compares
+candidates in exact integers by the key (|N(S)|/|S|, |S|, S), so the
+witness is the first strict minimum in (size, lexicographic) order, and it
+cuts a branch whose prefix P has |N(P)|/cap no smaller than the best
+ratio.  The best starts from the first dive of a depth-first search; then
+blocks of at most _BLOCK_WORDS child words are expanded at once, each by
+one numpy OR and bit count, and each block's survivors are searched before
+the next block, so the sets of each size are met in lexicographic order.
+The sampled path reads each row as an int mask and ORs the masks of each
+drawn subset.
 """
 
 from __future__ import annotations
@@ -60,15 +60,20 @@ class ExpansionReport:
         }
 
 
-def _neighbor_masks(g: BipartiteGraph, side: str) -> list[int]:
-    """The neighbourhood of each vertex of side as an int, bit w set for
-    neighbour w: a row of the biadjacency matrix (of its transpose for the
-    right side) packed little-endian."""
+def _pack_rows(M: np.ndarray) -> np.ndarray:
+    """0/1 rows as uint64 words: column c is bit c % 64 of word c // 64."""
+    rows, cols = M.shape
+    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(M, axis=1, bitorder="little")
+    return packed.view(np.dtype("<u8"))
+
+
+def _neighbor_rows(g: BipartiteGraph, side: str) -> np.ndarray:
+    """The neighbourhood of each vertex of side as a row of uint64 words,
+    bit w set for neighbour w: a row of the biadjacency matrix (of its
+    transpose for the right side), packed."""
     B = g.biadjacency()
-    packed = np.packbits(B if side == "left" else B.T, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return _pack_rows(B if side == "left" else B.T)
 
 
 def _gate(side_size: int, cap: int) -> None:
@@ -89,16 +94,6 @@ def _gate(side_size: int, cap: int) -> None:
             )
 
 
-def _words(masks: list[int]) -> np.ndarray:
-    """The masks as an n x W array of uint64 words, low word first, with W
-    the words of the widest mask; 1-D when W = 1."""
-    width = max(1, -(-max(m.bit_length() for m in masks) // 64))
-    if width == 1:
-        return np.array(masks, dtype=np.uint64)
-    data = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
-
-
 def _popcounts(words: np.ndarray) -> np.ndarray:
     """The bit count of each row of words."""
     counts = np.bitwise_count(words)
@@ -116,7 +111,7 @@ def _path(trail: list[tuple[np.ndarray, np.ndarray, np.ndarray]], index: int) ->
     return tuple(reversed(members))
 
 
-def _search(masks: list[int], cap: int) -> tuple[float, tuple[int, ...]]:
+def _search(rows: np.ndarray, cap: int) -> tuple[float, tuple[int, ...]]:
     """min |N(S)|/|S| over 1 <= |S| <= cap and its witness, by branch and bound.
 
     Candidates compare in exact integers by the key (|N(S)|/|S|, |S|, S),
@@ -132,11 +127,12 @@ def _search(masks: list[int], cap: int) -> tuple[float, tuple[int, ...]]:
     |N(P)|/cap < best ratio: an extension T has |N(T)|/|T| >= |N(P)|/cap,
     equal only at |T| = cap, where T loses the tie to the best, which is
     lex-smaller and no larger.  The witness is rebuilt from each level's
-    parent positions.  Callers pass the feasibility gate first.
+    parent positions.  rows holds each vertex's neighbourhood as packed by
+    _pack_rows; a single word per row is searched as a 1-D array.  Callers
+    pass the feasibility gate first.
     """
-    side_size = len(masks)
-    words = _words(masks)
-    width = 1 if words.ndim == 1 else words.shape[1]
+    side_size, width = rows.shape
+    words = rows[:, 0] if width == 1 else rows
     best_count, best_size, best = 1, 0, ()  # 1/0 stands for an infinite ratio
 
     def offer(counts: np.ndarray, size: int, witness) -> None:
@@ -235,13 +231,14 @@ def vertex_expansion(
     if cap < 1:
         raise ValueError(f"subset cap must be >= 1, got {cap}")
     cap = min(cap, side_size)
-    masks = _neighbor_masks(g, side)
+    rows = _neighbor_rows(g, side)
     try:
         _gate(side_size, cap)
     except ValueError:  # too many subsets: sample them
         pass
     else:
-        return ExpansionReport(side, cap, *_search(masks, cap), True)
+        return ExpansionReport(side, cap, *_search(rows, cap), True)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
     rng = random.Random(seed)
     alpha, witness = math.inf, ()
     for _ in range(samples):

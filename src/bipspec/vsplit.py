@@ -28,7 +28,7 @@ SPLIT_RULES = ("round-robin", "contiguous", "seeded-random")
 @dataclass(frozen=True)
 class VertexSplitResult:
     """The copies of original right vertex j are the split graph's right
-    vertices j (y_a) and n2 + j (y_b), whose neighbour tuples are its halves."""
+    vertices j (y_a) and n2 + j (y_b), whose neighbourhoods are its halves."""
 
     original: BipartiteGraph
     split_graph: BipartiteGraph
@@ -69,7 +69,7 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
         warnings.append("definition requires a connected graph")
 
     # every edge listed right vertex by right vertex, each one's neighbours
-    # ascending: edge t is the place[t]-th entry of right[t]'s neighbour tuple
+    # ascending: edge t is the place[t]-th of right[t]'s sorted neighbours
     right, left = np.divmod(g._transposed_keys(), g.n1)
     degree = np.bincount(right, minlength=g.n2)
     start = np.cumsum(degree) - degree
@@ -96,7 +96,7 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
 
     n2 = 2 * g.n2
     keys = np.sort(left * n2 + np.where(to_a, right, g.n2 + right))
-    split_graph = BipartiteGraph._of_keys(g.n1, n2, keys)
+    split_graph = BipartiteGraph(g.n1, n2, keys)
     reaches_a = np.bincount(left[to_a], minlength=g.n1) > 0
     reaches_b = np.bincount(left[~to_a], minlength=g.n1) > 0
     if not np.any(reaches_a & reaches_b):

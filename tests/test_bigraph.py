@@ -24,6 +24,7 @@ from bipspec.bigraph import (
 from bipspec.eccode import parity_check_from_graph
 from bipspec.spectra import adjacency_matrix
 from bipspec.vsplit import SPLIT_RULES, vertex_split
+from edge_views import edge_pairs, neighbors
 
 
 def test_build_complete_k22():
@@ -161,7 +162,7 @@ def test_random_tree_always_minimally_connected():
 
 
 def test_random_tree_deterministic():
-    assert random_tree(12, "balanced", 9).edges == random_tree(12, "balanced", 9).edges
+    assert random_tree(12, "balanced", 9) == random_tree(12, "balanced", 9)
 
 
 def test_is_minimally_connected_cases():
@@ -181,7 +182,7 @@ def _brute_force_min_cut(g) -> int:
     taken to avoid it), so all 2^(n-1) - 1 cuts are covered.
     """
     n = g.n
-    pairs = [(u, g.n1 + v) for u, v in g.edges]
+    pairs = [(u, g.n1 + v) for u, v in edge_pairs(g)]
     best = g.m
     for size in range(1, n):
         for side in combinations(range(1, n), size):
@@ -418,7 +419,7 @@ def _seed_read_edge_list(text: str) -> BipartiteGraph:
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        return BipartiteGraph(n1, n2, frozenset(seen))
+        return build(n1, n2, seen)
     except ValueError as exc:
         raise ValueError(f"line {at}: {exc}") from None
 
@@ -521,24 +522,10 @@ def test_edge_list_write_read_roundtrip(n1, n2, data):
     assert write_edge_list(read_edge_list(text)) == text
 
 
-def _seed_left_neighbors(g) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n1)]
-    for u, v in sorted(g.edges):
-        adj[u].append(v)
-    return adj
-
-
-def _seed_right_neighbors(g) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n2)]
-    for u, v in sorted(g.edges, key=lambda e: (e[1], e[0])):
-        adj[v].append(u)
-    return adj
-
-
 def _seed_degree_profile(g) -> DegreeProfile:
     left_count = [0] * g.n1
     right_count = [0] * g.n2
-    for u, v in g.edges:
+    for u, v in edge_pairs(g):
         left_count[u] += 1
         right_count[v] += 1
     left, right = tuple(left_count), tuple(right_count)
@@ -551,7 +538,7 @@ def _seed_degree_profile(g) -> DegreeProfile:
 
 def _seed_vertex_adjacency(g) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in edge_pairs(g):
         adj[u].append(g.n1 + v)
         adj[g.n1 + v].append(u)
     return adj
@@ -577,19 +564,17 @@ def _seed_is_connected(g) -> bool:
 
 def _seed_write_edge_list(g) -> str:
     lines = [f"bip {g.n1} {g.n2}"]
-    lines += [f"e {u} {v}" for u, v in sorted(g.edges)]
+    lines += [f"e {u} {v}" for u, v in sorted(edge_pairs(g))]
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.data())
 def test_cached_adjacency_matches_per_call_edge_walks(n1, n2, data):
-    # the edge walks each reader ran on every call before the graph kept
-    # one derivation; the empty edge set and isolated vertices are drawn too
+    # the edge walks each reader ran on every call before the graph derived
+    # them from its keys; the empty edge set and isolated vertices are drawn too
     pairs = [(u, v) for u in range(n1) for v in range(n2)]
     g = build(n1, n2, data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
-    assert [list(nb) for nb in g.left_neighbors()] == _seed_left_neighbors(g)
-    assert [list(nb) for nb in g.right_neighbors()] == _seed_right_neighbors(g)
     assert g.degree_profile() == _seed_degree_profile(g)
     assert g.is_connected() == _seed_is_connected(g)
     adj = bigraph._vertex_adjacency(g)
@@ -608,9 +593,9 @@ def _loop_group(size: int, edges, by_right: bool) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(sorted(nb)) for nb in groups)
 
 
-def _loop_biadjacency(g) -> np.ndarray:
-    B = np.zeros((g.n1, g.n2), dtype=np.uint8)
-    for u, v in g.edges:
+def _loop_biadjacency(n1: int, n2: int, edges) -> np.ndarray:
+    B = np.zeros((n1, n2), dtype=np.uint8)
+    for u, v in edges:
         B[u, v] = 1
     return B
 
@@ -626,21 +611,21 @@ def _pairs_on(draw, sides):
 
 def _check_edge_keys_against_oracles(case, data) -> None:
     n1, n2, pairs = case
-    g = BipartiteGraph(n1, n2, pairs)
+    g = build(n1, n2, pairs)
     edges = frozenset(pairs)
-    assert g.edges == edges and g.m == len(pairs)
-    assert g.left_neighbors() == _loop_group(n1, edges, by_right=False)
-    assert g.right_neighbors() == _loop_group(n2, edges, by_right=True)
-    B = _loop_biadjacency(g)
+    assert frozenset(edge_pairs(g)) == edges and g.m == len(pairs)
+    left, right = _loop_group(n1, edges, by_right=False), _loop_group(n2, edges, by_right=True)
+    assert neighbors(g, "left") == left and neighbors(g, "right") == right
+    # the connectivity walks' neighbour tuples, right vertex v at n1 + v
+    assert bigraph._vertex_adjacency(g) == [tuple(n1 + v for v in nb) for nb in left] + list(right)
+    B = _loop_biadjacency(n1, n2, edges)
     assert np.array_equal(g.biadjacency(), B)
     assert np.array_equal(parity_check_from_graph(g).H, B.T)
     text = write_edge_list(g)
     assert text.encode() == _seed_write_edge_list(g).encode()
-    # the same pairs in any order, through either constructor, are one
-    # graph; a pair repeated to the constructor is one edge
-    shuffled = data.draw(st.permutations(pairs), label="shuffled")
-    for other in (BipartiteGraph(n1, n2, shuffled + shuffled[:2]), build(n1, n2, shuffled)):
-        assert other == g and hash(other) == hash(g)
+    # the same pairs in any order are one graph
+    other = build(n1, n2, data.draw(st.permutations(pairs), label="shuffled"))
+    assert other == g and hash(other) == hash(g)
     # canonical text takes the bulk path, a comment line the line walk
     assert read_edge_list(text) == g == read_edge_list("# a comment\n" + text)
 
@@ -693,11 +678,43 @@ def test_edge_list_reader_paths_agree_at_scale():
     assert bigraph._read_canonical(text) == g
     assert read_edge_list(text) == g and write_edge_list(read_edge_list(text)) == text
     lines = text.splitlines(keepends=True)
-    u, v = sorted(g.edges)[2990]
+    u, v = edge_pairs(g)[2990]
     lines[2991] = f"e {u} 60\n"  # line 2992 of the file
     bad = "".join(lines)
     assert bigraph._read_canonical(bad) is None
     expected = f"ValueError: line 2992: edge ({u}, 60) out of range for sides (100, 60)"
+    assert _outcome(read_edge_list, bad) == expected == _outcome(_seed_read_edge_list, bad)
+
+
+def test_canonical_text_is_matched_a_block_at_a_time(monkeypatch):
+    # K_{200,200} writes 40,000 edge lines, several blocks of the canonical
+    # match; the bulk path reads every block, so the line walk never runs
+    g = complete_bipartite(200, 200)
+    text = write_edge_list(g)
+    assert len(text) > 4 * bigraph._BLOCK_CHARS
+
+    def refuse(text):
+        raise AssertionError("canonical text reached the line walk")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bigraph, "_read_lines", refuse)
+        assert read_edge_list(text) == g
+    # a line that straddles the first block's nominal end is cut with its
+    # block: a doubled space in it sends the text to the line walk, which
+    # reads the same graph
+    lines = text.splitlines(keepends=True)
+    end = len(lines[0]) + bigraph._BLOCK_CHARS  # the first block's nominal end
+    assert text[end - 1] != "\n"
+    at = text.count("\n", 0, end - 1)  # the line that holds character end - 1
+    spoiled = lines.copy()
+    spoiled[at] = spoiled[at].replace(" ", "  ", 1)
+    assert bigraph._read_canonical("".join(spoiled)) is None
+    assert read_edge_list("".join(spoiled)) == g
+    # a bad line in the last block gets the line walk's message
+    lines[-2] = "e 199 x\n"
+    bad = "".join(lines)
+    assert bigraph._read_canonical(bad) is None
+    expected = f"ValueError: line {len(lines) - 1}: expected integer endpoints, got '199' 'x'"
     assert _outcome(read_edge_list, bad) == expected == _outcome(_seed_read_edge_list, bad)
 
 

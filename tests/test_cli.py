@@ -142,33 +142,23 @@ def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
 
 
 def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch):
-    derived = []
-    for side in ("left", "right"):
-        derivation = bigraph.BipartiteGraph.__dict__[f"_{side}_adjacency"]
-
-        def counted(g, derive=derivation.func, side=side):
-            derived.append((side, id(g)))
-            return derive(g)
-
-        monkeypatch.setattr(derivation, "func", counted)
+    built = _count_calls(monkeypatch, bigraph._vertex_adjacency)
     k55 = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5), "k55.bip")
     k84_split = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph, "s.bip")
-    # (command, left derivations, right derivations); degrees, expansion
-    # masks, the writer and the left half of the connectivity walks read the
-    # edge keys, so they derive no tuples
-    for argv, left, right in [
-        (["split", "--graph", k55, "--k", "2"], 0, 2),  # the base graph and its split
-        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 0, 0),
-        (["expansion", "--graph", k84_split, "--cap", "3"], 0, 0),
-        (["bounds", "--graph", k55], 0, 1),
-        (["code", "--pipeline", "8"], 0, 1),  # K_{8,4}, whose connectivity is checked
-        (["gen", "--complete", "6", "4", "--out", str(tmp_path / "g.bip")], 0, 0),
+    # (command, neighbour-tuple builds); only the connectivity walks build
+    # them, while degrees, expansion rows, the writer and H read the keys
+    for argv, builds in [
+        (["split", "--graph", k55, "--k", "2"], 2),  # the base graph and its split
+        (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 0),
+        (["expansion", "--graph", k84_split, "--cap", "3"], 0),
+        (["bounds", "--graph", k55], 1),
+        (["code", "--pipeline", "8"], 1),  # K_{8,4}, whose connectivity is checked
+        (["gen", "--complete", "6", "4", "--out", str(tmp_path / "g.bip")], 0),
     ]:
-        derived.clear()
+        built.clear()
         assert run(argv) == 0
-        assert len(set(derived)) == len(derived), argv  # each side at most once per graph
-        sides = [side for side, _ in derived]
-        assert (sides.count("left"), sides.count("right")) == (left, right), argv
+        graphs = [id(g) for (g,) in built]
+        assert len(set(graphs)) == len(graphs) == builds, argv  # at most once per graph
 
 
 def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):

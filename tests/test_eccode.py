@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bipspec.bigraph import build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
+    N2RuleDiagnostic,
     _gf2_back_substitute,
     _gf2_echelon,
     _small_distance,
@@ -25,6 +26,7 @@ from bipspec.eccode import (
     write_pchk,
 )
 from bipspec.vsplit import vertex_split
+from edge_views import edge_pairs
 
 
 def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -71,7 +73,7 @@ def test_parity_check_orientation():
     assert all(int(x) == 4 for x in code.H.sum(axis=1))
     assert all(int(x) == 4 for x in code.H.sum(axis=0))
     # H[j][i] = 1 iff edge (i, j)
-    for i, j in split.edges:
+    for i, j in edge_pairs(split):
         assert code.H[j, i] == 1
 
 
@@ -246,6 +248,29 @@ def test_n2_selection_rule_infeasible():
     # n1 = 12: divisors of 72 strictly between 3.5 and 6 -> just 4
     assert n2_selection_rule(12).candidates == (4,)
     assert n2_selection_rule(8).chosen is None
+
+
+def _full_scan_rule(n1: int) -> N2RuleDiagnostic:
+    """The rule as it first ran: every x in 1..n1^2/2 tested for a divisor
+    strictly between (n1+2)/4 and n1/2."""
+    target = n1 * n1 // 2
+    low, high = (n1 + 2) / 4, n1 / 2
+    candidates = tuple(x for x in range(1, target + 1) if target % x == 0 and low < x < high)
+    chosen = max(candidates) if candidates else None
+    d1 = n1 // 2
+    feasible = chosen is not None and d1 <= chosen
+    if chosen is None:
+        note = f"no divisor of {target} lies strictly between {low} and {high}"
+    elif not feasible:
+        note = f"chosen n2 = {chosen} cannot host left degree d1 = {d1} in a simple graph"
+    else:
+        note = ""
+    return N2RuleDiagnostic(n1, candidates, chosen, d1, feasible, note)
+
+
+def test_n2_selection_rule_matches_the_full_divisor_scan():
+    for n1 in range(2, 401, 2):
+        assert n2_selection_rule(n1) == _full_scan_rule(n1), n1
 
 
 def _per_entry_pchk(H: np.ndarray) -> str:

@@ -6,6 +6,7 @@ import re
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,12 @@ from bipspec.expansion import (
     vertex_expansion,
 )
 from bipspec.vsplit import SPLIT_RULES, vertex_split
+from edge_views import neighbors
 
 
 def _alpha_reversed_order(g, side: str, cap: int) -> float:
     """Independent restart: same minimum, enumerated largest subsets first."""
-    neighbors = g.left_neighbors() if side == "left" else g.right_neighbors()
-    sets = [set(nb) for nb in neighbors]
+    sets = [set(nb) for nb in neighbors(g, side)]
     size_range = range(min(cap, len(sets)), 0, -1)
     return min(
         len(set().union(*(sets[v] for v in subset))) / size
@@ -39,8 +40,7 @@ def _random_graph(rng: random.Random, n1: int, n2: int, p: float):
 
 def _brute_expansion(g, side: str, cap: int) -> tuple[float, tuple[int, ...]]:
     """Set unions over (size, lex) order, keeping the first strict minimum."""
-    neighbors = g.left_neighbors() if side == "left" else g.right_neighbors()
-    sets = [set(nb) for nb in neighbors]
+    sets = [set(nb) for nb in neighbors(g, side)]
     best: tuple[float, tuple[int, ...]] = (math.inf, ())
     for size in range(1, cap + 1):
         for subset in combinations(range(len(sets)), size):
@@ -81,8 +81,8 @@ def test_split_k84_alpha():
     assert report.alpha == 2.5
     assert report.exhaustive
     # every pair of left vertices reaches at least 5 checks
-    neighbors = [set(nb) for nb in split.left_neighbors()]
-    assert min(len(neighbors[a] | neighbors[b]) for a, b in combinations(range(8), 2)) == 5
+    left = [set(nb) for nb in neighbors(split, "left")]
+    assert min(len(left[a] | left[b]) for a, b in combinations(range(8), 2)) == 5
 
 
 def test_complete_bipartite_alpha_two():
@@ -211,7 +211,7 @@ def _round_robin_split_of_k(n1: int):
 def test_lossless_on_pipeline_splits_matches_the_closed_form():
     for n1 in (8, 98):
         split = vertex_split(complete_bipartite(n1, n1 // 2)).split_graph
-        assert split.edges == _round_robin_split_of_k(n1).edges
+        assert split == _round_robin_split_of_k(n1)
     # gamma = 1/d1 gives cap 2 at every n1, although (1.0/d1) * n1 falls just
     # below 2 at n1 = 98, 196, 206, 214, 322, 374, 392 and 394
     for n1 in range(8, 401, 2):
@@ -321,16 +321,20 @@ def test_search_tie_at_smaller_size_wins(monkeypatch):
 @pytest.mark.parametrize("other", [1, 7, 8, 9, 63, 64, 65, 129])
 def test_neighbor_masks_match_the_per_neighbour_sums(other):
     # the masks were sum(1 << w) over each vertex's neighbours; the packed
-    # rows must give the same ints on either side, whatever byte or word
-    # boundary the other side's size falls on, with isolated vertices too
+    # rows must hold the same bits, low word first, in one word per 64
+    # vertices of the other side, whatever byte or word boundary its size
+    # falls on, with isolated vertices too
     rng = random.Random(other)
     for this in (1, 5, 64, 65):
         for n1, n2 in ((this, other), (other, this)):
             pairs = [(u, v) for u in range(n1) for v in range(n2) if rng.random() < 0.3]
             g = build(n1, n2, pairs)
-            for side, neighbors in (("left", g.left_neighbors()), ("right", g.right_neighbors())):
-                expected = [sum(1 << w for w in nb) for nb in neighbors]
-                assert expansion._neighbor_masks(g, side) == expected, (n1, n2, side)
+            for side, width in (("left", n2), ("right", n1)):
+                rows = expansion._neighbor_rows(g, side)
+                assert rows.dtype == np.uint64 and rows.shape[1] == -(-width // 64), (n1, n2, side)
+                expected = [sum(1 << w for w in nb) for nb in neighbors(g, side)]
+                packed = [sum(int(word) << 64 * i for i, word in enumerate(row)) for row in rows]
+                assert packed == expected, (n1, n2, side)
 
 
 @st.composite
@@ -375,21 +379,26 @@ def _dfs_search(masks: list[int], cap: int) -> tuple[float, tuple[int, ...]]:
 
 @st.composite
 def _masks_and_cap(draw):
+    """0/1 neighbourhood rows, the same rows as int masks, and a cap."""
     # other sides of 65, 128 and 129 vertices need two and three words
     other = draw(st.one_of(st.integers(1, 10), st.sampled_from([65, 128, 129])))
     neighbourhoods = st.frozensets(st.integers(0, other - 1), max_size=min(other, 8))
-    masks = [sum(1 << w for w in nb) for nb in draw(st.lists(neighbourhoods, min_size=1, max_size=9))]
-    return masks, draw(st.integers(1, min(len(masks), 6)))
+    sets = draw(st.lists(neighbourhoods, min_size=1, max_size=9))
+    B = np.zeros((len(sets), other), dtype=np.uint8)
+    for u, nb in enumerate(sets):
+        B[u, list(nb)] = 1
+    masks = [sum(1 << w for w in nb) for nb in sets]
+    return B, masks, draw(st.integers(1, min(len(masks), 6)))
 
 
 @pytest.mark.parametrize("budget", [1, 3, 64, expansion._BLOCK_WORDS])
 @settings(max_examples=150, deadline=None)
 @given(_masks_and_cap())
 def test_search_matches_depth_first_oracle(budget, case):
-    masks, cap = case
+    B, masks, cap = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expansion, "_BLOCK_WORDS", budget)
-        assert expansion._search(masks, cap) == _dfs_search(masks, cap)
+        assert expansion._search(expansion._pack_rows(B), cap) == _dfs_search(masks, cap)
 
 
 def test_search_at_the_budget_edge(monkeypatch):
