@@ -36,7 +36,8 @@ import numpy as np
 MAX_SIDE = 10**5
 # Largest dense rows x cols matrix any command allocates (`check_dense`):
 # 10**8 cells is 100 MB as uint8 (800 MB for the float64 adjacency matrix),
-# far past desk-scale graphs and codes.
+# far past desk-scale graphs.  It is also a code's size gate: a code keeps
+# no dense H, but its elimination holds rows x cols bits.
 MAX_DENSE_CELLS = 10**8
 # Largest edge count a generator builds, checked with MAX_SIDE before any
 # edge is.  An edge costs about 120 bytes while gen builds and writes a graph,

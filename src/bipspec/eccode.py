@@ -2,7 +2,9 @@
 
 Orientation: left vertices are variable bits, right vertices are parity
 checks, so H[j][i] = 1 exactly when edge (i, j) is present.  The code is the
-null space of H over GF(2); there is no generator-matrix path.
+null space of H over GF(2); there is no generator-matrix path.  A code is
+the keys of H's ones, the graph's edge keys seen from the checks; the dense
+H is built only when read.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import heapq
 import itertools
 import operator
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,49 +62,70 @@ class _Adjacency(NamedTuple):
 class LinearCode:
     """Parity-check view of a binary linear code.
 
-    n is the block length (columns of H), check_count the number of rows.
-    dimension = n - rank over GF(2); rate = dimension / n.  The rank comes
-    from the forward elimination alone, whose echelon rows the code keeps.
-    basis (the null-space basis of H, one codeword per row) and the
-    incidence lists of H are derived the first time they are read, the
-    basis by back-substitution on the kept rows.  H is read-only.
+    The code is its block length n, its check_count and `keys`: the
+    read-only, ascending int64 keys j * n + i of the ones of its
+    check_count x n parity-check matrix H, unchecked here (from_matrix and
+    parity_check_from_graph check their input).  The forward elimination
+    runs on the keys on construction, and its echelon rows are kept: rank,
+    dimension = n - rank, rate = dimension / n.  basis (one codeword per
+    row, by back-substitution on the kept rows), the incidence lists and
+    the read-only H are derived from the keys on first read.
     """
 
-    H: np.ndarray
     n: int
     check_count: int
-    rank: int
-    dimension: int
-    rate: float
-    _echelon: tuple[int, ...] = field(repr=False)  # _gf2_echelon(H)
+    keys: np.ndarray
+    _echelon: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"block length must be >= 1, got {self.n} columns")
+        self.keys.setflags(write=False)
+        object.__setattr__(self, "_echelon", _gf2_echelon(self.keys, self.check_count, self.n))
 
     @classmethod
     def from_matrix(cls, H: np.ndarray) -> LinearCode:
         H = np.asarray(H, dtype=np.uint8) & 1  # % 2, without numpy's slow uint8 modulo
+        if H.ndim != 2:
+            raise ValueError(f"parity-check matrix must be 2-D, got shape {H.shape}")
         rows, cols = H.shape
-        if cols == 0:
-            raise ValueError("block length must be >= 1, got 0 columns")
-        echelon = _gf2_echelon(H)
-        r = len(echelon) - echelon.count(0)
+        return cls(cols, rows, np.flatnonzero(H))
+
+    @functools.cached_property
+    def rank(self) -> int:
+        return len(self._echelon) - self._echelon.count(0)
+
+    @property
+    def dimension(self) -> int:
+        return self.n - self.rank
+
+    @property
+    def rate(self) -> float:
+        return self.dimension / self.n
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """The check_count x n 0/1 parity-check matrix, built on first read."""
+        H = np.zeros((self.check_count, self.n), dtype=np.uint8)
+        H.reshape(-1)[self.keys] = 1  # key j * n + i is H's flat index of (j, i)
         H.setflags(write=False)
-        return cls(H, cols, rows, r, cols - r, (cols - r) / cols, echelon)
+        return H
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
-        M, pivot_cols = _gf2_back_substitute(self._echelon, self.H.shape)
+        M, pivot_cols = _gf2_back_substitute(self._echelon, self.n)
         basis = _nullspace(M, pivot_cols)
         basis.setflags(write=False)
         return basis
 
     @functools.cached_property
     def _incidence(self) -> _Incidence:
-        rows, n = self.H.shape
-        checks, bits = np.divmod(np.flatnonzero(self.H), n)
-        col_weight = np.bincount(bits, minlength=n)
+        checks, bits = np.divmod(self.keys, self.n)
+        col_weight = np.bincount(bits, minlength=self.n)
         return _Incidence(
             checks,
             bits,
-            np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=rows)))),
+            np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=self.check_count)))),
             checks[np.argsort(bits, kind="stable")],
             np.concatenate(([0], np.cumsum(col_weight))),
             col_weight,
@@ -125,30 +149,33 @@ class LinearCode:
 
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
-    """Parity-check matrix of the factor graph: bits = X, checks = Y."""
+    """The code of the factor graph, bits = X and checks = Y, gated by the
+    dense limit on H's cells: the elimination holds rows x cols bits."""
     check_dense(g.n2, g.n1, "parity-check matrix")
-    H = np.zeros((g.n2, g.n1), dtype=np.uint8)
-    left, right = np.divmod(g.keys, g.n2)
-    H[right, left] = 1  # edge (u, v) is H[v, u]
-    return LinearCode.from_matrix(H)
+    return LinearCode(g.n1, g.n2, g._transposed_keys())
 
 
-def _gf2_echelon(H: np.ndarray) -> tuple[int, ...]:
-    """Forward GF(2) elimination: a row echelon form indexed by leading bit.
+def _packed_rows(keys: np.ndarray, rows: int, cols: int) -> Iterator[int]:
+    """Each row of the rows x cols 0/1 matrix with ones at the ascending keys
+    r * cols + c as a Python int: column c is bit 8 * ceil(cols / 8) - 1 - c,
+    so a row's leading bit is its leftmost column."""
+    width = -(-cols // 8)
+    bit = keys + keys // cols * (8 * width - cols)  # each row padded to whole bytes
+    packed = np.zeros(rows * width, dtype=np.uint8)
+    # the bits added into one byte are distinct, so their sum sets each
+    np.add.at(packed, bit >> 3, (128 >> (bit & 7)).astype(np.uint8))
+    data = packed.tobytes()
+    return (int.from_bytes(data[r * width : (r + 1) * width], "big") for r in range(rows))
 
-    H holds 0/1 and is left unchanged.  Each row is read as a Python int
-    whose leading bit is its leftmost column (column c is bit top - c, with
-    top = 8 * ceil(cols / 8) - 1), so a row's pivot is its bit_length.  Every
-    row is inserted into a table indexed by leading bit, XOR-ing with the
-    stored row until its leading bit is new.  Entry b of the result is the
-    row whose leading bit is b, or 0, so the rank is the number of nonzero
-    entries.
-    """
-    width = -(-H.shape[1] // 8)
-    table: list[int] = [0] * (8 * width)
-    data = np.packbits(H, axis=1).tobytes()
-    for start in range(0, len(data), width):
-        x = int.from_bytes(data[start : start + width], "big")
+
+def _gf2_echelon(keys: np.ndarray, rows: int, cols: int) -> tuple[int, ...]:
+    """Forward GF(2) elimination of the matrix _packed_rows reads from keys:
+    each row is inserted into a table indexed by leading bit, XOR-ing with
+    the stored row until its leading bit is new.  Entry b of the result is
+    the row whose leading bit is b, or 0, so the rank is the number of
+    nonzero entries."""
+    table: list[int] = [0] * (8 * -(-cols // 8))
+    for x in _packed_rows(keys, rows, cols):
         while x:
             lead = x.bit_length() - 1
             if not table[lead]:
@@ -158,18 +185,15 @@ def _gf2_echelon(H: np.ndarray) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _gf2_back_substitute(
-    echelon: tuple[int, ...], shape: tuple[int, int]
-) -> tuple[np.ndarray, list[int]]:
-    """The reduced row-echelon form of a rows x cols matrix from its
-    _gf2_echelon table, with the pivot column list.
+def _gf2_back_substitute(echelon: tuple[int, ...], cols: int) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row-echelon form of a matrix with
+    cols columns from its _gf2_echelon table, with the pivot column list.
 
     Back-substitution runs from the rightmost pivot to the leftmost and
     clears each row's bits at the later pivots, one XOR per set bit.  The
     RREF over a field is unique, so M is the matrix any elimination would
-    give, with zero rows below the rank.
+    give, without the zero rows below the rank.
     """
-    rows, cols = shape
     table = list(echelon)
     leads = [b for b, x in enumerate(table) if x]  # rightmost pivot first
     done = 0
@@ -186,20 +210,19 @@ def _gf2_back_substitute(
     top = len(table) - 1
     leads.reverse()
     data = b"".join(table[b].to_bytes(width, "big") for b in leads)
-    data += bytes(width * (rows - len(leads)))
-    packed_rref = np.frombuffer(data, dtype=np.uint8).reshape(rows, width)
+    packed_rref = np.frombuffer(data, dtype=np.uint8).reshape(len(leads), width)
     return np.unpackbits(packed_rref, axis=1, count=cols), [top - b for b in leads]
 
 
 def _nullspace(M: np.ndarray, pivot_cols: list[int]) -> np.ndarray:
-    """Null-space basis from an RREF: one vector per free column f, with a 1
-    at f and the RREF's column f on the pivot columns."""
+    """Null-space basis from the nonzero RREF rows: one vector per free
+    column f, with a 1 at f and the RREF's column f on the pivot columns."""
     free = np.ones(M.shape[1], dtype=bool)
     free[pivot_cols] = False
     free_cols = np.flatnonzero(free)
     basis = np.zeros((free_cols.size, M.shape[1]), dtype=np.uint8)
     basis[np.arange(free_cols.size), free_cols] = 1
-    basis[:, pivot_cols] = M[: len(pivot_cols), free].T
+    basis[:, pivot_cols] = M[:, free].T
     return basis
 
 
@@ -212,17 +235,18 @@ def _span(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _small_distance(H: np.ndarray) -> int | None:
-    """The minimum distance of H's code when it is at most 4, else None.
+def _small_distance(code: LinearCode) -> int | None:
+    """The minimum distance of the code when it is at most 4, else None.
 
-    Each column of H is read as a Python int, packed the way _gf2_echelon
-    reads rows, so equal columns give equal ints.  A zero column is a
+    Each column of H is read as a Python int by _packed_rows from the keys
+    seen bit-major, so equal columns give equal ints.  A zero column is a
     codeword of weight 1 and a repeated column one of weight 2.  With
     neither present, a pair XOR equal to some column is a weight-3 word
     (the three columns differ), and two pairs with equal XORs are disjoint,
     a weight-4 word.  None therefore certifies a distance of at least 5.
     """
-    columns = [int.from_bytes(c, "big") for c in np.packbits(H.T, axis=1)]
+    checks, bits = np.divmod(code.keys, code.n)
+    columns = list(_packed_rows(np.sort(bits * code.check_count + checks), code.n, code.check_count))
     if 0 in columns:
         return 1
     distinct = set(columns)
@@ -262,7 +286,7 @@ def min_distance(code: LinearCode) -> int | None:
         )
     floor = 1
     if code.n * (code.n - 1) // 2 <= 1 << TABLE_DIMENSION:
-        small = _small_distance(code.H)
+        small = _small_distance(code)
         if small is not None:
             return small
         floor = 5
@@ -304,7 +328,8 @@ def bit_flip_decode(
     decoding stops when the syndrome vanishes, when no bit has a positive
     margin, or after max_iters flips.  Status "decoded" guarantees
     H @ word = 0 over GF(2).  received holds integers (or booleans), read
-    mod 2; any other dtype raises ValueError.
+    mod 2; any other dtype, or a max_iters that is not an int >= 0, raises
+    ValueError.
 
     The syndrome, the unsatisfied-check count and the margins are computed
     once with numpy from the code's incidence lists of H, then kept as
@@ -316,13 +341,15 @@ def bit_flip_decode(
     A flip toggles only its own checks and moves the margins of their bits
     by 2 each, pushing each bit whose margin becomes positive.
     """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError(f"max_iters must be an int >= 0, got {max_iters!r}")
     word = np.asarray(received)
     if word.dtype.kind not in "biu":
         raise ValueError(f"received word must hold integers, got dtype {word.dtype}")
     if word.shape != (code.n,):
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = (word & 1).astype(np.uint8)  # mod 2 before narrowing: 256 reads as 0, -1 as 1
-    rows, n = code.H.shape
+    rows, n = code.check_count, code.n
     checks, bits, _, _, _, col_weight = code._incidence
     odd = (np.bincount(checks[word.view(bool)[bits]], minlength=rows) & 1).astype(bool)
     unsatisfied = int(np.count_nonzero(odd))
@@ -386,13 +413,7 @@ class DistanceReport:
     bound_holds: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "true_distance": self.true_distance,
-            "lemma_bound": self.lemma_bound,
-            "cor8_bound": self.cor8_bound,
-            "premises_verified": self.premises_verified,
-            "bound_holds": self.bound_holds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -413,14 +434,7 @@ class N2RuleDiagnostic:
     note: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "n1": self.n1,
-            "candidates": list(self.candidates),
-            "chosen": self.chosen,
-            "d1": self.d1,
-            "feasible": self.feasible,
-            "note": self.note,
-        }
+        return {**asdict(self), "candidates": list(self.candidates)}
 
 
 def n2_selection_rule(n1: int) -> N2RuleDiagnostic:
@@ -495,7 +509,7 @@ def write_pchk(code: LinearCode) -> str:
 
 def write_alist(code: LinearCode) -> str:
     """Sparse alist serialization (columns first, 1-based indices, unpadded)."""
-    rows, cols = code.H.shape
+    rows, cols = code.check_count, code.n
     _, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
     row_weight = np.diff(check_start)
     out = [

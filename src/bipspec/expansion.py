@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -265,15 +265,7 @@ class LosslessParams:
     exhaustive: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_right": self.m_right,
-            "D": self.D,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "exhaustive": self.exhaustive,
-        }
+        return asdict(self)
 
 
 def check_lossless_feasible(n1: int, gamma: float) -> None:

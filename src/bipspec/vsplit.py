@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,17 +135,7 @@ class ConnectivityCriterionReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "k": self.k,
-            "threshold": self.threshold,
-            "lambda2_prime": self.lambda2_prime,
-            "criterion_met": self.criterion_met,
-            "measured_kappa": self.measured_kappa,
-            "conclusion_holds": self.conclusion_holds,
-            "preconditions_met": self.preconditions_met,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def measure_split(split: VertexSplitResult) -> tuple[float, int]:

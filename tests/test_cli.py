@@ -114,6 +114,22 @@ def test_bounds_and_split_golden_bytes(tmp_path, monkeypatch, name):
     assert (tmp_path / "split.json").read_bytes() == (GOLDEN / f"split_k2_{name}.json").read_bytes()
 
 
+def test_code_golden_bytes(tmp_path, monkeypatch):
+    # the 13-bit code of dense22.bip through both writers, and the n1 = 12
+    # pipeline, whose distance comes from the collision search
+    (tmp_path / "dense22.bip").write_bytes((GOLDEN / "dense22.bip").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    run(["code", "--graph", "dense22.bip", "--json", "c.json", "--pchk", "c.pchk", "--alist", "c.alist"])
+    run(["code", "--pipeline", "12", "--json", "p.json"])
+    for produced, golden in (
+        ("c.json", "code_dense22.json"),
+        ("c.pchk", "code_dense22.pchk"),
+        ("c.alist", "code_dense22.alist"),
+        ("p.json", "code_pipeline12.json"),
+    ):
+        assert (tmp_path / produced).read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of fn through every bipspec binding of it."""
     calls = []

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -30,9 +32,10 @@ from edge_views import edge_pairs
 
 
 def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The RREF the basis is read from, with its pivot columns: the forward
-    elimination, then back-substitution."""
-    return _gf2_back_substitute(_gf2_echelon(H), H.shape)
+    """The nonzero RREF rows the basis is read from, with their pivot
+    columns: the forward elimination on H's keys, then back-substitution."""
+    rows, cols = H.shape
+    return _gf2_back_substitute(_gf2_echelon(np.flatnonzero(H), rows, cols), cols)
 
 
 def _brute_codeword_count(H: np.ndarray) -> int:
@@ -332,6 +335,54 @@ def test_from_matrix_rejects_zero_columns():
         LinearCode.from_matrix(np.zeros((2, 0), dtype=np.uint8))
 
 
+def test_from_matrix_names_the_shape_of_a_matrix_that_is_not_2d():
+    for H, shape in (([1, 0, 1], (3,)), (np.zeros((2, 2, 2), dtype=np.uint8), (2, 2, 2)), (1, ())):
+        with pytest.raises(ValueError, match=re.escape(f"must be 2-D, got shape {shape}")):
+            LinearCode.from_matrix(H)
+
+
+def test_bit_flip_rejects_max_iters_that_is_not_a_count():
+    code = LinearCode.from_matrix(np.eye(2, dtype=np.uint8))
+    for max_iters in (-1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="max_iters must be an int >= 0"):
+            bit_flip_decode(code, [1, 0], max_iters)
+    assert bit_flip_decode(code, [1, 0], 0)[1] == "failed"
+    assert bit_flip_decode(code, [1, 0], np.int64(1))[1] == "decoded"
+
+
+def test_code_from_graph_builds_h_only_when_it_is_read():
+    # a decoder-size factor graph: 1200 bits of weight 3 over 600 checks
+    rng = random.Random(21)
+    g = build(1200, 600, [(bit, check) for bit in range(1200) for check in rng.sample(range(600), 3)])
+    word = np.zeros(1200, dtype=np.uint8)
+    word[rng.sample(range(1200), 12)] = 1
+    tracemalloc.start()
+    try:
+        code = parity_check_from_graph(g)
+        assert (code.check_count, code.n) == (600, 1200) and code.rank <= 600
+        assert "H" not in vars(code)
+        with pytest.raises(ValueError, match="infeasible"):
+            min_distance(code)
+        assert "H" not in vars(code)
+        write_alist(code)
+        assert "H" not in vars(code)
+        bit_flip_decode(code, word, 1200)
+        assert "H" not in vars(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1200
+    # past 91 bits min_distance enumerates the basis, also without H
+    small = build(100, 90, [(u, v) for u in range(100) for v in range(90) if rng.random() < 0.5])
+    code = parity_check_from_graph(small)
+    assert 1 <= code.dimension <= 20
+    distance = min_distance(code)
+    assert "H" not in vars(code)
+    assert distance == _gray_min_weight(_int_nullspace(code.H), code.n)
+    assert code.H is code.H and not code.H.flags.writeable
+    assert np.array_equal(code.H, small.biadjacency().T)
+
+
 # ------------------------------------------------------------------ oracles
 #
 # Independent references for the numpy kernels: GF(2) elimination on Python
@@ -418,8 +469,8 @@ def _assert_matches_packed_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
     expected, expected_pivots = _packed_rref(H)
     M, pivots = _gf2_rref(H)
     assert pivots == expected_pivots
-    assert M.shape == expected.shape and M.dtype == expected.dtype == np.uint8
-    assert np.array_equal(M, expected)
+    assert M.shape == (len(pivots), H.shape[1]) and M.dtype == expected.dtype == np.uint8
+    assert np.array_equal(M, expected[: len(pivots)]) and not expected[len(pivots):].any()
     return M, pivots
 
 
@@ -478,9 +529,8 @@ def test_rref_rank_nullspace_match_int_elimination():
         rows, pivots = _int_rref(H)
         M, pivot_cols = _gf2_rref(H)
         assert pivot_cols == pivots
-        assert _int_rows(M[: len(rows)]) == rows
-        assert not M[len(rows):].any()
-        assert M.shape == H.shape and M.dtype == np.uint8
+        assert _int_rows(M) == rows
+        assert M.shape == (len(rows), H.shape[1]) and M.dtype == np.uint8
         assert LinearCode.from_matrix(H).rank == len(pivots)
         basis = LinearCode.from_matrix(H).basis
         assert basis.shape == (H.shape[1] - len(pivots), H.shape[1])
@@ -621,7 +671,7 @@ def test_min_distance_matches_gray_code_enumerator_at_every_small_distance():
         assert 1 <= code.dimension <= 20, name
         expected = _gray_min_weight(_int_nullspace(code.H), code.n)
         assert min_distance(code) == expected, name
-        assert _small_distance(code.H) == (expected if expected <= 4 else None), name
+        assert _small_distance(code) == (expected if expected <= 4 else None), name
         distances.append(expected)
     assert set(range(1, 6)) <= set(distances) and max(distances) >= 6
 
@@ -641,7 +691,7 @@ def test_round_robin_split_has_distance_four():
             word = np.zeros(n1, dtype=np.uint8)
             word[[i, (i + 1) % n1, (i + h) % n1, (i + h + 1) % n1]] = 1
             assert not (code.H.astype(int) @ word % 2).any()
-        assert _small_distance(code.H) == 4
+        assert _small_distance(code) == 4
     assert _round_robin_code(100).dimension > 20
     for n1 in range(8, 43, 2):
         assert min_distance(_round_robin_code(n1)) == 4
