@@ -5,9 +5,10 @@ vertices 0..n2-1.  Edges are (left, right) pairs.  A graph is its sides and
 one array, the ascending int64 edge keys u * n2 + v; `build` is the one
 checked constructor from pairs.  The readers, `build`, `complete_bipartite`
 and `vsplit.vertex_split` make the keys in bulk, and the edge count,
-degrees, the biadjacency matrix, the writer's text and the neighbour tuples
-of the connectivity walks are derived from them with numpy, without a
-Python loop over the edges: `gen --complete 1000 1000` takes 0.4-0.5 s,
+degrees, the biadjacency matrix, the writer's text, the neighbour tuples of
+the connectivity walks and the bit rows of the expansion search and the
+GF(2) elimination (`_pack_keys`) are derived from them with numpy, without
+a Python loop over the edges: `gen --complete 1000 1000` takes 0.4-0.5 s,
 where a frozenset of pairs per graph took 1.5-1.9 s (Python 3.11, Intel
 Xeon).
 
@@ -36,8 +37,8 @@ import numpy as np
 MAX_SIDE = 10**5
 # Largest dense rows x cols matrix any command allocates (`check_dense`):
 # 10**8 cells is 100 MB as uint8 (800 MB for the float64 adjacency matrix),
-# far past desk-scale graphs.  It is also a code's size gate: a code keeps
-# no dense H, but its elimination holds rows x cols bits.
+# far past desk-scale graphs.  It also gates the expansion search and a
+# code, counted in bits: each holds rows x cols bits packed by _pack_keys.
 MAX_DENSE_CELLS = 10**8
 # Largest edge count a generator builds, checked with MAX_SIDE before any
 # edge is.  An edge costs about 120 bytes while gen builds and writes a graph,
@@ -146,6 +147,19 @@ def _group(keys: np.ndarray, rows: int, cols: int, shift: int = 0) -> list[tuple
     row, col = np.divmod(keys, cols)
     flat = iter((col + shift).tolist())
     return [tuple(islice(flat, c)) for c in np.bincount(row, minlength=rows).tolist()]
+
+
+def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols 0/1 matrix with ones at the distinct keys r * cols + c,
+    each row padded to ceil(cols / 64) uint64 words: column c is bit
+    7 - c % 8 of byte c // 8, so `int.from_bytes(row, "big")` leads with the
+    leftmost column.  The one bit layout of expansion and the GF(2) code."""
+    words = -(-cols // 64)
+    bit = keys + keys // cols * (64 * words - cols)  # each row padded to whole words
+    packed = np.zeros(rows * words * 8, dtype=np.uint8)
+    # the bits added into one byte are distinct, so their sum sets each
+    np.add.at(packed, bit >> 3, (128 >> (bit & 7)).astype(np.uint8))
+    return packed.view(np.uint64).reshape(rows, words)
 
 
 def _vertex_adjacency(g: BipartiteGraph) -> list[tuple[int, ...]]:

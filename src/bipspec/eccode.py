@@ -14,14 +14,13 @@ import heapq
 import itertools
 import operator
 from array import array
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .bigraph import MAX_SIDE, BipartiteGraph, check_dense, complete_bipartite
-from .expansion import LosslessParams, _pack_rows, check_lossless_feasible, lossless_parameters
+from .bigraph import MAX_SIDE, BipartiteGraph, _pack_keys, check_dense, complete_bipartite
+from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
 from .vsplit import vertex_split
 
 MAX_ENUM_DIMENSION = 20
@@ -155,27 +154,16 @@ def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     return LinearCode(g.n1, g.n2, g._transposed_keys())
 
 
-def _packed_rows(keys: np.ndarray, rows: int, cols: int) -> Iterator[int]:
-    """Each row of the rows x cols 0/1 matrix with ones at the ascending keys
-    r * cols + c as a Python int: column c is bit 8 * ceil(cols / 8) - 1 - c,
-    so a row's leading bit is its leftmost column."""
-    width = -(-cols // 8)
-    bit = keys + keys // cols * (8 * width - cols)  # each row padded to whole bytes
-    packed = np.zeros(rows * width, dtype=np.uint8)
-    # the bits added into one byte are distinct, so their sum sets each
-    np.add.at(packed, bit >> 3, (128 >> (bit & 7)).astype(np.uint8))
-    data = packed.tobytes()
-    return (int.from_bytes(data[r * width : (r + 1) * width], "big") for r in range(rows))
-
-
 def _gf2_echelon(keys: np.ndarray, rows: int, cols: int) -> tuple[int, ...]:
-    """Forward GF(2) elimination of the matrix _packed_rows reads from keys:
-    each row is inserted into a table indexed by leading bit, XOR-ing with
+    """Forward GF(2) elimination of the matrix with ones at the keys: each
+    row, packed and read as a Python int whose leading bit is its leftmost
+    column, is inserted into a table indexed by leading bit, XOR-ing with
     the stored row until its leading bit is new.  Entry b of the result is
     the row whose leading bit is b, or 0, so the rank is the number of
     nonzero entries."""
-    table: list[int] = [0] * (8 * -(-cols // 8))
-    for x in _packed_rows(keys, rows, cols):
+    packed = _pack_keys(keys, rows, cols)
+    table: list[int] = [0] * (64 * packed.shape[1])
+    for x in map(int.from_bytes, packed, itertools.repeat("big")):
         while x:
             lead = x.bit_length() - 1
             if not table[lead]:
@@ -238,15 +226,18 @@ def _span(rows: np.ndarray) -> np.ndarray:
 def _small_distance(code: LinearCode) -> int | None:
     """The minimum distance of the code when it is at most 4, else None.
 
-    Each column of H is read as a Python int by _packed_rows from the keys
-    seen bit-major, so equal columns give equal ints.  A zero column is a
-    codeword of weight 1 and a repeated column one of weight 2.  With
-    neither present, a pair XOR equal to some column is a weight-3 word
-    (the three columns differ), and two pairs with equal XORs are disjoint,
-    a weight-4 word.  None therefore certifies a distance of at least 5.
+    Each column of H is packed from the keys seen bit-major and read as a
+    Python int, little-endian so the word padding adds no high bits (bit
+    order does not matter here), and equal columns give equal ints.  A zero
+    column is a codeword of weight 1 and a repeated column one of weight 2.
+    With neither present, a pair XOR equal to some column is a weight-3
+    word (the three columns differ), and two pairs with equal XORs are
+    disjoint, a weight-4 word.  None therefore certifies a distance of at
+    least 5.
     """
     checks, bits = np.divmod(code.keys, code.n)
-    columns = list(_packed_rows(np.sort(bits * code.check_count + checks), code.n, code.check_count))
+    packed = _pack_keys(np.sort(bits * code.check_count + checks), code.n, code.check_count)
+    columns = list(map(int.from_bytes, packed, itertools.repeat("little")))
     if 0 in columns:
         return 1
     distinct = set(columns)
@@ -290,7 +281,7 @@ def min_distance(code: LinearCode) -> int | None:
         if small is not None:
             return small
         floor = 5
-    basis = _pack_rows(code.basis)
+    basis = _pack_keys(np.flatnonzero(code.basis), *code.basis.shape)
     table, high = _span(basis[:TABLE_DIMENSION]), basis[TABLE_DIMENSION:]
     best = int(np.bitwise_count(table[1:]).sum(axis=1).min())
     acc = np.zeros_like(table[0])

@@ -6,19 +6,19 @@ cap 12, for instance).  A larger request degrades to seeded random sampling
 with exhaustive = False in `vertex_expansion`; `lossless_parameters` refuses
 it.
 
-Neighborhoods are the rows of the biadjacency matrix packed into uint64
-words, and |N(S)| is the bit count of the OR of the members' words.  One
-gate decides whether a request is exact.  Every exact minimum-ratio
-measurement runs one branch-and-bound search over the words.  It compares
-candidates in exact integers by the key (|N(S)|/|S|, |S|, S), so the
-witness is the first strict minimum in (size, lexicographic) order, and it
-cuts a branch whose prefix P has |N(P)|/cap no smaller than the best
-ratio.  The best starts from the first dive of a depth-first search; then
-blocks of at most _BLOCK_WORDS child words are expanded at once, each by
-one numpy OR and bit count, and each block's survivors are searched before
-the next block, so the sets of each size are met in lexicographic order.
-The sampled path reads each row as an int mask and ORs the masks of each
-drawn subset.
+Neighborhoods are rows of uint64 words packed from the edge keys, one bit
+per vertex of the other side, and |N(S)| is the bit count of the OR of the
+members' words; no dense matrix is built.  One gate decides whether a
+request is exact.  Every exact minimum-ratio measurement runs one
+branch-and-bound search over the words.  It compares candidates in exact
+integers by the key (|N(S)|/|S|, |S|, S), so the witness is the first
+strict minimum in (size, lexicographic) order, and it cuts a branch whose
+prefix P has |N(P)|/cap no smaller than the best ratio.  The best starts
+from the first dive of a depth-first search; then blocks of at most
+_BLOCK_WORDS child words are expanded at once, each by one numpy OR and bit
+count, and each block's survivors are searched before the next block, so
+the sets of each size are met in lexicographic order.  The sampled path
+reads each row as an int mask and ORs the masks of each drawn subset.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bigraph import BipartiteGraph
+from .bigraph import BipartiteGraph, _pack_keys, check_dense
 
 SUBSET_BUDGET = 9_740_685
 SIDES = ("left", "right")
@@ -60,20 +60,14 @@ class ExpansionReport:
         }
 
 
-def _pack_rows(M: np.ndarray) -> np.ndarray:
-    """0/1 rows as uint64 words: column c is bit c % 64 of word c // 64."""
-    rows, cols = M.shape
-    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(M, axis=1, bitorder="little")
-    return packed.view(np.dtype("<u8"))
-
-
 def _neighbor_rows(g: BipartiteGraph, side: str) -> np.ndarray:
-    """The neighbourhood of each vertex of side as a row of uint64 words,
-    bit w set for neighbour w: a row of the biadjacency matrix (of its
-    transpose for the right side), packed."""
-    B = g.biadjacency()
-    return _pack_rows(B if side == "left" else B.T)
+    """The neighbourhood of each vertex of side as a row of uint64 words
+    packed from the edge keys (transposed for the right side), within the
+    dense limit on the graph's n1 x n2 cells."""
+    check_dense(g.n1, g.n2, "biadjacency matrix")
+    if side == "left":
+        return _pack_keys(g.keys, g.n1, g.n2)
+    return _pack_keys(g._transposed_keys(), g.n2, g.n1)
 
 
 def _gate(side_size: int, cap: int) -> None:
@@ -127,9 +121,9 @@ def _search(rows: np.ndarray, cap: int) -> tuple[float, tuple[int, ...]]:
     |N(P)|/cap < best ratio: an extension T has |N(T)|/|T| >= |N(P)|/cap,
     equal only at |T| = cap, where T loses the tie to the best, which is
     lex-smaller and no larger.  The witness is rebuilt from each level's
-    parent positions.  rows holds each vertex's neighbourhood as packed by
-    _pack_rows; a single word per row is searched as a 1-D array.  Callers
-    pass the feasibility gate first.
+    parent positions.  rows holds each vertex's neighbourhood as
+    _neighbor_rows packs it; a single word per row is searched as a 1-D
+    array.  Callers pass the feasibility gate first.
     """
     side_size, width = rows.shape
     words = rows[:, 0] if width == 1 else rows
@@ -238,7 +232,7 @@ def vertex_expansion(
         pass
     else:
         return ExpansionReport(side, cap, *_search(rows, cap), True)
-    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    masks = [int.from_bytes(row, "little") for row in rows]  # small ints; OR ignores bit order
     rng = random.Random(seed)
     alpha, witness = math.inf, ()
     for _ in range(samples):

@@ -654,6 +654,35 @@ def test_edge_keys_match_per_edge_oracles_near_max_side(case, data):
     _check_edge_keys_against_oracles(case, data)
 
 
+def _loop_pack(keys, rows: int, cols: int) -> np.ndarray:
+    """The packed rows as bytes, one key at a time: column c of row r is
+    bit 7 - c % 8 of byte c // 8 of a row of 8 * ceil(cols / 64) bytes."""
+    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
+    for key in keys:
+        r, c = divmod(int(key), cols)
+        packed[r, c // 8] |= 1 << 7 - c % 8
+    return packed
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_pack_keys_matches_a_per_key_loop(cols):
+    # row 0 is full, so it sets a bit on each side of every byte and word
+    # boundary; row 1 is empty and later rows are random
+    rng = random.Random(cols)
+    for rows in (1, 2, 5):
+        cells = ((r, c) for r in range(rows) for c in range(cols))
+        keys = np.array(
+            [r * cols + c for r, c in cells if r == 0 or r > 1 and rng.random() < 0.4], dtype=np.int64
+        )
+        packed = bigraph._pack_keys(keys, rows, cols)
+        assert packed.dtype == np.uint64 and packed.shape == (rows, -(-cols // 64))
+        assert np.array_equal(packed.view(np.uint8), _loop_pack(keys, rows, cols)), rows
+    # a graph with zero edges packs to zero words of the same shape
+    empty = build(3, cols, [])
+    packed = bigraph._pack_keys(empty.keys, empty.n1, empty.n2)
+    assert packed.shape == (3, -(-cols // 64)) and not packed.any()
+
+
 def test_edge_list_reports_the_first_bad_line():
     # a bad edge before a malformed line is reported, and the other way round
     assert _outcome(read_edge_list, "bip 2 2\ne 0 0\ne 0 0\nx\n") == (

@@ -130,6 +130,33 @@ def test_code_golden_bytes(tmp_path, monkeypatch):
         assert (tmp_path / produced).read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
+def test_expansion_and_code_never_build_the_biadjacency(tmp_path, monkeypatch):
+    # the exact search, the sampler and the code read bit rows packed from
+    # the edge keys, so each report is the golden one with no dense matrix:
+    # a right-side cap, a gamma on a left-regular split (lossless included),
+    # side 26 at cap 13 (past the subset budget, so sampled) and two codes
+    for name in ("dense22.bip", "split8.bip", "tree52.bip"):
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(self):
+        raise AssertionError("a dense biadjacency matrix was built")
+
+    monkeypatch.setattr(bigraph.BipartiteGraph, "biadjacency", refuse)
+    for argv, golden in (
+        (
+            ["expansion", "--graph", "dense22.bip", "--side", "right", "--cap", "4"],
+            "expansion_dense22_right_cap4.json",
+        ),
+        (["expansion", "--graph", "split8.bip", "--gamma", "0.25"], "expansion_split8_gamma.json"),
+        (["expansion", "--graph", "tree52.bip", "--cap", "13"], "expansion_tree52_sampled.json"),
+        (["code", "--graph", "dense22.bip"], "code_dense22.json"),
+        (["code", "--pipeline", "8"], "code_pipeline8.json"),
+    ):
+        assert run([*argv, "--json", "out.json"]) == 0, argv
+        assert (tmp_path / "out.json").read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of fn through every bipspec binding of it."""
     calls = []
@@ -422,6 +449,8 @@ def test_generators_refuse_before_building_an_edge_set(monkeypatch, capsys):
         (["bounds"], "200000 x 200000 adjacency matrix"),
         (["code"], "100000 x 100000 parity-check matrix"),
         (["split", "--k", "2"], "300000 x 300000 adjacency matrix"),
+        (["expansion", "--cap", "1"], "100000 x 100000 biadjacency matrix"),
+        (["expansion", "--side", "right", "--cap", "1"], "100000 x 100000 biadjacency matrix"),
     ],
 )
 def test_oversized_dense_matrices_are_refused_before_allocation(

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipspec import expansion
-from bipspec.bigraph import build, complete_bipartite
+from bipspec.bigraph import _pack_keys, build, complete_bipartite, random_tree
 from bipspec.expansion import (
     ExpansionReport,
     check_lossless_feasible,
@@ -320,10 +321,10 @@ def test_search_tie_at_smaller_size_wins(monkeypatch):
 
 @pytest.mark.parametrize("other", [1, 7, 8, 9, 63, 64, 65, 129])
 def test_neighbor_masks_match_the_per_neighbour_sums(other):
-    # the masks were sum(1 << w) over each vertex's neighbours; the packed
-    # rows must hold the same bits, low word first, in one word per 64
-    # vertices of the other side, whatever byte or word boundary its size
-    # falls on, with isolated vertices too
+    # neighbour w is bit 7 - w % 8 of byte w // 8 of a row of one word per
+    # 64 vertices of the other side, so the row read big-endian is the sum
+    # of 1 << (64 * words - 1 - w) over the neighbours, whatever byte or
+    # word boundary its size falls on, with isolated vertices too
     rng = random.Random(other)
     for this in (1, 5, 64, 65):
         for n1, n2 in ((this, other), (other, this)):
@@ -332,8 +333,9 @@ def test_neighbor_masks_match_the_per_neighbour_sums(other):
             for side, width in (("left", n2), ("right", n1)):
                 rows = expansion._neighbor_rows(g, side)
                 assert rows.dtype == np.uint64 and rows.shape[1] == -(-width // 64), (n1, n2, side)
-                expected = [sum(1 << w for w in nb) for nb in neighbors(g, side)]
-                packed = [sum(int(word) << 64 * i for i, word in enumerate(row)) for row in rows]
+                top = 64 * rows.shape[1] - 1
+                expected = [sum(1 << top - w for w in nb) for nb in neighbors(g, side)]
+                packed = [int.from_bytes(row.tobytes(), "big") for row in rows]
                 assert packed == expected, (n1, n2, side)
 
 
@@ -398,7 +400,8 @@ def test_search_matches_depth_first_oracle(budget, case):
     B, masks, cap = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expansion, "_BLOCK_WORDS", budget)
-        assert expansion._search(expansion._pack_rows(B), cap) == _dfs_search(masks, cap)
+        rows = _pack_keys(np.flatnonzero(B), *B.shape)
+        assert expansion._search(rows, cap) == _dfs_search(masks, cap)
 
 
 def test_search_at_the_budget_edge(monkeypatch):
@@ -420,3 +423,20 @@ def test_search_at_the_budget_edge(monkeypatch):
     report = vertex_expansion(complete_bipartite(24, 1), "left", 12)
     assert (report.alpha, report.witness) == (1 / 12, tuple(range(12)))
     assert sum(examined) == 11 + 13 + 24
+
+
+def test_search_packs_bits_not_a_dense_matrix():
+    # a sparse 4,000 x 4,000 tree: each side's rows hold 16e6 bits (2 MB),
+    # where a dense 0/1 matrix of the same cells would take 16 MB
+    g = random_tree(8000, "balanced", 3)
+    assert (g.n1, g.n2) == (4000, 4000)
+    degrees = g.degree_profile()
+    for side, degree in (("left", degrees.left_degrees), ("right", degrees.right_degrees)):
+        tracemalloc.start()
+        try:
+            report = vertex_expansion(g, side, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 4000 / 4, side
+        assert (report.alpha, report.witness) == (min(degree), (degree.index(min(degree)),))
