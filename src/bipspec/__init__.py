@@ -47,9 +47,9 @@ from .spectra import (
 )
 from .vsplit import (
     ConnectivityCriterionReport,
-    VertexSplitResult,
     measure_split,
     split_sidecar,
+    split_warnings,
     theorem_r1_check,
     theorem_r2_check,
     vertex_split,

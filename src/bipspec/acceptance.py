@@ -190,8 +190,8 @@ def _symmetry_corpus() -> list[BipartiteGraph]:
     corpus += [_random_connected_bipartite(rng) for _ in range(30)]
     corpus += [bigraph.random_tree(n, "balanced", seed) for n, seed in [(6, 1), (9, 2), (12, 3)]]
     corpus += [
-        vsplit.vertex_split(complete_bipartite(8, 4)).split_graph,
-        vsplit.vertex_split(complete_bipartite(5, 5)).split_graph,
+        vsplit.vertex_split(complete_bipartite(8, 4)),
+        vsplit.vertex_split(complete_bipartite(5, 5)),
     ]
     return corpus
 
@@ -222,8 +222,7 @@ def criterion_6() -> CriterionResult:
     failures: list[str] = []
     for i in range(100):
         g = _random_min_degree4(rng)
-        result = vsplit.vertex_split(g, "round-robin", 0)
-        split = result.split_graph
+        split = vsplit.vertex_split(g, "round-robin", 0)
         if split.m != g.m:
             failures.append(f"graph {i}: edge count {split.m} != {g.m}")
         if split.degree_profile().left_degrees != g.degree_profile().left_degrees:
@@ -247,8 +246,9 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """K_{5,5} split: lambda2' matches the circulant oracle; kappa' >= 2."""
-    split = vsplit.vertex_split(complete_bipartite(5, 5), "round-robin", 0)
-    report = vsplit.theorem_r1_check(split, 2, vsplit.measure_split(split))
+    g = complete_bipartite(5, 5)
+    split = vsplit.vertex_split(g, "round-robin", 0)
+    report = vsplit.theorem_r1_check(g, split, 2, vsplit.measure_split(split))
     # independent oracle: the round-robin split of K_{5,5} is a pair of
     # circulants over Z_5, so its singular values have a closed form
     singular = sorted(
@@ -289,9 +289,9 @@ def criterion_8() -> CriterionResult:
     from . import expansion
 
     split = vsplit.vertex_split(complete_bipartite(8, 4), "round-robin", 0)
-    B = split.split_graph.biadjacency()
+    B = split.biadjacency()
     min_pair = min(int(np.count_nonzero(B[a] | B[b])) for a, b in combinations(range(8), 2))
-    params = expansion.lossless_parameters(split.split_graph, 1 / 4)
+    params = expansion.lossless_parameters(split, 1 / 4)
     checks = {
         "all_pairs_reach_5": min_pair >= 5,
         "alpha_25": params.alpha == 2.5,

@@ -151,9 +151,10 @@ def _group(keys: np.ndarray, rows: int, cols: int, shift: int = 0) -> list[tuple
 
 def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The rows x cols 0/1 matrix with ones at the distinct keys r * cols + c,
-    each row padded to ceil(cols / 64) uint64 words: column c is bit
-    7 - c % 8 of byte c // 8, so `int.from_bytes(row, "big")` leads with the
-    leftmost column.  The one bit layout of expansion and the GF(2) code."""
+    in any order, each row padded to ceil(cols / 64) uint64 words: column c
+    is bit 7 - c % 8 of byte c // 8, so `int.from_bytes(row, "big")` leads
+    with the leftmost column.  The one bit layout of expansion and the GF(2)
+    code."""
     words = -(-cols // 64)
     bit = keys + keys // cols * (64 * words - cols)  # each row padded to whole words
     packed = np.zeros(rows * words * 8, dtype=np.uint8)

@@ -166,12 +166,12 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_split(args) -> int:
     g = _load_graph(args.graph)
-    result = vsplit.vertex_split(g, args.rule, args.seed)
-    split = result.split_graph
+    split = vsplit.vertex_split(g, args.rule, args.seed)
     print(f"split: {g.n1}+{g.n2} -> {split.n1}+{split.n2} vertices, {split.m} edges ({args.rule})")
-    for w in result.warnings:
+    warnings = vsplit.split_warnings(g, split)
+    for w in warnings:
         print(f"  warning: {w}")
-    sidecar = vsplit.split_sidecar(result)
+    sidecar = vsplit.split_sidecar(g, args.rule, warnings)
     findings: list[dict] = [
         {"type": "split", "n1": split.n1, "n2_prime": split.n2, "m": split.m, **sidecar}
     ]
@@ -185,10 +185,10 @@ def _cmd_split(args) -> int:
         )
         print(f"wrote {base.with_suffix('.bip')} and {base.with_suffix('.json')}")
     if args.k is not None:
-        measured = vsplit.measure_split(result)
+        measured = vsplit.measure_split(split)
         for rep in (
-            vsplit.theorem_r1_check(result, args.k, measured),
-            vsplit.theorem_r2_check(result, args.k, measured),
+            vsplit.theorem_r1_check(g, split, args.k, measured),
+            vsplit.theorem_r2_check(g, args.k, measured),
         ):
             findings.append({"type": "connectivity-criterion", **rep.to_json_dict()})
             print(

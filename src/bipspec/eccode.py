@@ -236,7 +236,7 @@ def _small_distance(code: LinearCode) -> int | None:
     least 5.
     """
     checks, bits = np.divmod(code.keys, code.n)
-    packed = _pack_keys(np.sort(bits * code.check_count + checks), code.n, code.check_count)
+    packed = _pack_keys(bits * code.check_count + checks, code.n, code.check_count)
     columns = list(map(int.from_bytes, packed, itertools.repeat("little")))
     if 0 in columns:
         return 1
@@ -477,8 +477,8 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
     check_lossless_feasible(n1, gamma)  # the split has n1 left vertices
     base = complete_bipartite(n1, d1)
     split = vertex_split(base, "round-robin", 0)
-    code = parity_check_from_graph(split.split_graph)
-    params = lossless_parameters(split.split_graph, gamma)
+    code = parity_check_from_graph(split)
+    params = lossless_parameters(split, gamma)
     lemma, cor8 = distance_bounds(n1, d1, gamma, params.epsilon)
     premises = params.exhaustive and params.epsilon < 0.5
     true_distance = min_distance(code) if code.dimension <= MAX_ENUM_DIMENSION else None

@@ -62,12 +62,13 @@ class ExpansionReport:
 
 def _neighbor_rows(g: BipartiteGraph, side: str) -> np.ndarray:
     """The neighbourhood of each vertex of side as a row of uint64 words
-    packed from the edge keys (transposed for the right side), within the
-    dense limit on the graph's n1 x n2 cells."""
+    packed from the edge keys (transposed, in any order, for the right
+    side), within the dense limit on the graph's n1 x n2 cells."""
     check_dense(g.n1, g.n2, "biadjacency matrix")
     if side == "left":
         return _pack_keys(g.keys, g.n1, g.n2)
-    return _pack_keys(g._transposed_keys(), g.n2, g.n1)
+    left, right = np.divmod(g.keys, g.n2)
+    return _pack_keys(right * g.n1 + left, g.n2, g.n1)
 
 
 def _gate(side_size: int, cap: int) -> None:

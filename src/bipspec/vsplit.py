@@ -6,9 +6,10 @@ the degree is odd.  The y_a copies occupy right indices 0..n2-1 (aligned with
 the original order) and the y_b copies occupy n2..2*n2-1.
 
 The transformation's stated preconditions (minimum degree >= 4, n1 >= 4,
-n2 >= 3, n1 > n2, connectivity) are reported as warnings rather than errors:
-the worked examples this follows split K_{5,5} and K_{8,4}, which violate
-them, so rejecting such inputs would be counterproductive.
+n2 >= 3, n1 > n2, connectivity) are reported by the `split` command, from
+`split_warnings`, rather than raised: the worked examples this follows split
+K_{5,5} and K_{8,4}, which violate them, so rejecting such inputs would be
+counterproductive.  `vertex_split` itself does not check them.
 """
 
 from __future__ import annotations
@@ -25,19 +26,10 @@ from .spectra import REPORT_TOL, adjacency_matrix, symmetric_eigenvalues
 SPLIT_RULES = ("round-robin", "contiguous", "seeded-random")
 
 
-@dataclass(frozen=True)
-class VertexSplitResult:
-    """The copies of original right vertex j are the split graph's right
-    vertices j (y_a) and n2 + j (y_b), whose neighbourhoods are its halves."""
-
-    original: BipartiteGraph
-    split_graph: BipartiteGraph
-    rule: str
-    warnings: tuple[str, ...]
-
-
-def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) -> VertexSplitResult:
-    """Split every right vertex of g in two, preserving all edges.
+def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) -> BipartiteGraph:
+    """Split every right vertex of g in two, preserving all edges: the
+    copies of right vertex j are the split graph's right vertices j (y_a)
+    and n2 + j (y_b), whose neighbourhoods are its halves.
 
     Rules for assigning a y's sorted neighbor list to its copies:
 
@@ -54,19 +46,6 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
         raise ValueError(f"unknown split rule {rule!r}; expected one of {SPLIT_RULES}")
     if g.m == 0:
         raise ValueError("cannot vertex-split an empty graph")
-
-    warnings: list[str] = []
-    profile = g.degree_profile()
-    if profile.delta < 4:
-        warnings.append(f"definition requires minimum degree >= 4, got {profile.delta}")
-    if g.n1 < 4:
-        warnings.append(f"definition requires n1 >= 4, got {g.n1}")
-    if g.n2 < 3:
-        warnings.append(f"definition requires n2 >= 3, got {g.n2}")
-    if not g.n1 > g.n2:
-        warnings.append(f"definition requires n1 > n2, got ({g.n1}, {g.n2})")
-    if not g.is_connected():
-        warnings.append("definition requires a connected graph")
 
     # every edge listed right vertex by right vertex, each one's neighbours
     # ascending: edge t is the place[t]-th of right[t]'s sorted neighbours
@@ -87,29 +66,47 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
         for s, dj in zip(start.tolist(), degree.tolist()):
             if dj:
                 to_a[[s + p for p in rng.sample(range(dj), (dj + 1) // 2)]] = True
-    isolated = np.flatnonzero(degree == 0)
-    if isolated.size:
-        warnings.append(
-            f"right vertices of degree 0: {isolated.size} (first {isolated[0]}); "
-            "their copies are isolated"
-        )
 
     n2 = 2 * g.n2
-    keys = np.sort(left * n2 + np.where(to_a, right, g.n2 + right))
-    split_graph = BipartiteGraph(g.n1, n2, keys)
-    reaches_a = np.bincount(left[to_a], minlength=g.n1) > 0
-    reaches_b = np.bincount(left[~to_a], minlength=g.n1) > 0
-    if not np.any(reaches_a & reaches_b):
+    return BipartiteGraph(g.n1, n2, np.sort(left * n2 + np.where(to_a, right, g.n2 + right)))
+
+
+def split_warnings(g: BipartiteGraph, split: BipartiteGraph) -> list[str]:
+    """The definition's preconditions g misses, then the split's degenerate
+    outcomes: isolated copies, and halves Y_a and Y_b with no common
+    left neighbour."""
+    warnings: list[str] = []
+    profile = g.degree_profile()
+    if profile.delta < 4:
+        warnings.append(f"definition requires minimum degree >= 4, got {profile.delta}")
+    if g.n1 < 4:
+        warnings.append(f"definition requires n1 >= 4, got {g.n1}")
+    if g.n2 < 3:
+        warnings.append(f"definition requires n2 >= 3, got {g.n2}")
+    if not g.n1 > g.n2:
+        warnings.append(f"definition requires n1 > n2, got ({g.n1}, {g.n2})")
+    if not g.is_connected():
+        warnings.append("definition requires a connected graph")
+    isolated = [j for j, d in enumerate(profile.right_degrees) if d == 0]
+    if isolated:
+        warnings.append(
+            f"right vertices of degree 0: {len(isolated)} (first {isolated[0]}); "
+            "their copies are isolated"
+        )
+    left, right = np.divmod(split.keys, split.n2)
+    reached = np.zeros((2, g.n1), dtype=bool)
+    reached[right // g.n2, left] = True  # row 0 from the a copies j < n2, row 1 from the b copies
+    if not np.any(reached[0] & reached[1]):
         warnings.append("N(Y_a) and N(Y_b) share no left vertex")
-    return VertexSplitResult(g, split_graph, rule, tuple(warnings))
+    return warnings
 
 
-def split_sidecar(result: VertexSplitResult) -> dict:
-    """JSON sidecar accompanying the split graph's edge list."""
+def split_sidecar(g: BipartiteGraph, rule: str, warnings: list[str]) -> dict:
+    """JSON sidecar accompanying the edge list of g's split by rule."""
     return {
-        "mapping": [[j, result.original.n2 + j] for j in range(result.original.n2)],
-        "rule": result.rule,
-        "warnings": list(result.warnings),
+        "mapping": [[j, g.n2 + j] for j in range(g.n2)],
+        "rule": rule,
+        "warnings": warnings,
     }
 
 
@@ -138,11 +135,11 @@ class ConnectivityCriterionReport:
         return asdict(self)
 
 
-def measure_split(split: VertexSplitResult) -> tuple[float, int]:
+def measure_split(split: BipartiteGraph) -> tuple[float, int]:
     """(lambda2', kappa') of the split graph: its second adjacency eigenvalue
     and its edge connectivity, the two measurements every criterion reads."""
-    spectrum = symmetric_eigenvalues(adjacency_matrix(split.split_graph))
-    return spectrum.eigenvalues[1], edge_connectivity(split.split_graph)
+    spectrum = symmetric_eigenvalues(adjacency_matrix(split))
+    return spectrum.eigenvalues[1], edge_connectivity(split)
 
 
 def _criterion_report(
@@ -168,32 +165,29 @@ def _criterion_report(
 
 
 def theorem_r1_check(
-    split: VertexSplitResult, k: int, measured: tuple[float, int]
+    g: BipartiteGraph, split: BipartiteGraph, k: int, measured: tuple[float, int]
 ) -> ConnectivityCriterionReport:
     """Regular-graph criterion: threshold (2k-1)/sqrt(2) on lambda2'.
 
-    measured is measure_split(split).
+    split is g's split and measured is measure_split(split).
     """
     notes = []
-    if not split.original.degree_profile().is_regular:
+    if not g.degree_profile().is_regular:
         notes.append("original graph is not d-regular")
     if k < 2:
         notes.append(f"requires k >= 2, got {k}")
-    delta_prime = split.split_graph.degree_profile().delta
+    delta_prime = split.degree_profile().delta
     if delta_prime < k:
         notes.append(f"split minimum degree {delta_prime} < k = {k}")
     threshold = (2 * k - 1) / math.sqrt(2.0)
     return _criterion_report("r1", k, threshold, not notes, "; ".join(notes), measured)
 
 
-def theorem_r2_check(
-    split: VertexSplitResult, k: int, measured: tuple[float, int]
-) -> ConnectivityCriterionReport:
+def theorem_r2_check(g: BipartiteGraph, k: int, measured: tuple[float, int]) -> ConnectivityCriterionReport:
     """Biregular criterion: threshold n2*(2k-1)/sqrt(2*n1*n2) on lambda2'.
 
-    measured is measure_split(split).
+    measured is measure_split of g's split.
     """
-    g = split.original
     notes = []
     if not g.degree_profile().is_biregular:
         notes.append("original graph is not biregular")

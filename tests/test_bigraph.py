@@ -277,7 +277,7 @@ def _connectivity_corpus():
         base = _random_graph(rng, rng.randint(2, 7), rng.randint(2, 7), rng.choice((0.5, 0.8)))
         if base.m:
             rule = rng.choice(SPLIT_RULES)
-            graphs.append(vertex_split(base, rule, rng.randrange(100)).split_graph)
+            graphs.append(vertex_split(base, rule, rng.randrange(100)))
     for _ in range(60):  # mostly disconnected
         g = _random_graph(rng, rng.randint(2, 8), rng.randint(2, 8), 0.15)
         if g.m:
@@ -681,6 +681,18 @@ def test_pack_keys_matches_a_per_key_loop(cols):
     empty = build(3, cols, [])
     packed = bigraph._pack_keys(empty.keys, empty.n1, empty.n2)
     assert packed.shape == (3, -(-cols // 64)) and not packed.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 130), st.data())
+def test_pack_keys_reads_the_keys_in_any_order(rows, cols, data):
+    # the right-side neighbourhood rows and the columns of H are packed
+    # from keys that are distinct but not sorted
+    keys = data.draw(st.lists(st.integers(0, rows * cols - 1), unique=True))
+    permuted = np.array(data.draw(st.permutations(keys)), dtype=np.int64)
+    assert np.array_equal(
+        bigraph._pack_keys(permuted, rows, cols), bigraph._pack_keys(np.sort(permuted), rows, cols)
+    )
 
 
 def test_edge_list_reports_the_first_bad_line():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bipspec import bigraph, eccode, expansion, spectra, vsplit
+from bipspec import acceptance, bigraph, eccode, expansion, spectra, vsplit
 from bipspec.cli import run
 from bipspec.vsplit import vertex_split
 
@@ -157,6 +157,23 @@ def test_expansion_and_code_never_build_the_biadjacency(tmp_path, monkeypatch):
         assert (tmp_path / "out.json").read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
+def test_only_the_split_command_checks_connectivity(tmp_path, monkeypatch):
+    # the definition's preconditions, a connected base graph among them, are
+    # checked by `split` alone: the pipeline and the acceptance criteria
+    # that split a graph run no BFS over it
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(self):
+        raise AssertionError("connectivity was checked")
+
+    monkeypatch.setattr(bigraph.BipartiteGraph, "is_connected", refuse)
+    eccode.construct_expander_code(8)
+    for criterion in (acceptance.criterion_6, acceptance.criterion_8, acceptance.criterion_9):
+        assert criterion().passed, criterion.__name__
+    assert run(["code", "--pipeline", "12", "--json", "p.json"]) == 0
+    assert (tmp_path / "p.json").read_bytes() == (GOLDEN / "code_pipeline12.json").read_bytes()
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of fn through every bipspec binding of it."""
     calls = []
@@ -187,7 +204,7 @@ def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
 def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch):
     built = _count_calls(monkeypatch, bigraph._vertex_adjacency)
     k55 = _write_graph(tmp_path, bigraph.complete_bipartite(5, 5), "k55.bip")
-    k84_split = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph, "s.bip")
+    k84_split = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)), "s.bip")
     # (command, neighbour-tuple builds); only the connectivity walks build
     # them, while degrees, expansion rows, the writer and H read the keys
     for argv, builds in [
@@ -195,7 +212,7 @@ def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch
         (["expansion", "--graph", k84_split, "--cap", "3", "--gamma", "0.25"], 0),
         (["expansion", "--graph", k84_split, "--cap", "3"], 0),
         (["bounds", "--graph", k55], 1),
-        (["code", "--pipeline", "8"], 1),  # K_{8,4}, whose connectivity is checked
+        (["code", "--pipeline", "8"], 0),  # the split's preconditions go unchecked
         (["gen", "--complete", "6", "4", "--out", str(tmp_path / "g.bip")], 0),
     ]:
         built.clear()
@@ -205,7 +222,7 @@ def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch
 
 
 def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
-    g = vertex_split(bigraph.complete_bipartite(8, 4)).split_graph
+    g = vertex_split(bigraph.complete_bipartite(8, 4))
     graph = _write_graph(tmp_path, g)
     expected = expansion.lossless_parameters(g, 0.25).to_json_dict()
     calls = _count_calls(monkeypatch, expansion.vertex_expansion)
@@ -228,7 +245,7 @@ def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
 def test_each_parity_check_matrix_reduced_once_per_command(tmp_path, monkeypatch):
     forward = _count_calls(monkeypatch, eccode._gf2_echelon)
     back = _count_calls(monkeypatch, eccode._gf2_back_substitute)
-    graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph)
+    graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)))
     out_json = tmp_path / "code.json"
     assert run(["code", "--graph", graph, "--json", str(out_json)]) == 0
     # d = 4 comes from collisions among H's columns, so the basis is never read
@@ -304,9 +321,7 @@ def test_split_seeded_random_byte_identical(tmp_path):
 
 
 def test_expansion_command(tmp_path):
-    split_graph = _write_graph(
-        tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)).split_graph
-    )
+    split_graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)))
     out_json = tmp_path / "exp.json"
     assert run(["expansion", "--graph", split_graph, "--gamma", "0.25", "--json", str(out_json)]) == 0
     report = json.loads(out_json.read_text(encoding="utf-8"))

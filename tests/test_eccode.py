@@ -70,7 +70,7 @@ def test_k11_zero_dimensional_code():
 
 
 def test_parity_check_orientation():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     code = parity_check_from_graph(split)
     assert code.H.shape == (8, 8)
     assert all(int(x) == 4 for x in code.H.sum(axis=1))
@@ -107,7 +107,7 @@ def test_gf2_nullspace_spans_kernel():
 
 
 def test_min_distance_matches_brute_force():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     code = parity_check_from_graph(split)
     assert min_distance(code) == _brute_min_weight(code.H) == 4
 
@@ -119,7 +119,7 @@ def test_min_distance_refuses_large_dimension():
 
 
 def test_codeword_count_is_power_of_dimension():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     code = parity_check_from_graph(split)
     words = codewords(code)
     assert len(words) == 2**code.dimension
@@ -161,7 +161,7 @@ def test_distance_bounds_contract():
 
 
 def test_bit_flip_identity_on_codewords():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)))
     for w in codewords(code):
         decoded, status = bit_flip_decode(code, w, max_iters=0)
         assert status == "decoded"
@@ -169,7 +169,7 @@ def test_bit_flip_identity_on_codewords():
 
 
 def test_bit_flip_single_errors():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)))
     words = codewords(code)
     for c in words:
         for pos in range(code.n):
@@ -181,7 +181,7 @@ def test_bit_flip_single_errors():
 
 
 def test_bit_flip_soundness_on_noise():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)))
     rng = random.Random(21)
     for _ in range(200):
         received = [rng.randint(0, 1) for _ in range(code.n)]
@@ -197,7 +197,7 @@ def test_bit_flip_zero_code_failure():
 
 
 def test_bit_flip_reads_integers_mod_2():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)))
     rng = random.Random(3)
     for _ in range(20):
         bits = [rng.randint(0, 1) for _ in range(code.n)]
@@ -285,14 +285,14 @@ def _per_entry_pchk(H: np.ndarray) -> str:
 
 
 def test_pchk_roundtrip():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)))
     text = write_pchk(code)
     assert text.startswith("pchk 8 8\n")
     assert text == _per_entry_pchk(code.H)
 
 
 def test_alist_roundtrip():
-    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)).split_graph)
+    code = parity_check_from_graph(vertex_split(complete_bipartite(8, 4)))
     text = write_alist(code)
     assert text.splitlines()[0] == "8 8"
     assert text == _nonzero_write_alist(code)
@@ -677,8 +677,7 @@ def test_min_distance_matches_gray_code_enumerator_at_every_small_distance():
 
 
 def _round_robin_code(n1: int) -> LinearCode:
-    split = vertex_split(complete_bipartite(n1, n1 // 2), "round-robin", 0)
-    return parity_check_from_graph(split.split_graph)
+    return parity_check_from_graph(vertex_split(complete_bipartite(n1, n1 // 2), "round-robin", 0))
 
 
 def test_round_robin_split_has_distance_four():

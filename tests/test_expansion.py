@@ -77,7 +77,7 @@ def test_sampled_result_pinned():
 
 
 def test_split_k84_alpha():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     report = vertex_expansion(split, "left", 2)
     assert report.alpha == 2.5
     assert report.exhaustive
@@ -114,7 +114,7 @@ def test_alpha_monotone_in_cap():
 
 
 def test_alpha_order_invariance():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     for cap in (1, 2, 3):
         assert vertex_expansion(split, "left", cap).alpha == _alpha_reversed_order(split, "left", cap)
 
@@ -179,7 +179,7 @@ def test_expansion_report_schema():
 
 
 def test_gamma_derived_cap():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     by_gamma = vertex_expansion(split, "left", gamma=0.25)
     by_cap = vertex_expansion(split, "left", 2)
     assert by_gamma.subset_cap == 2
@@ -191,7 +191,7 @@ def test_gamma_derived_cap():
 
 
 def test_lossless_split_k84():
-    split = vertex_split(complete_bipartite(8, 4)).split_graph
+    split = vertex_split(complete_bipartite(8, 4))
     params = lossless_parameters(split, 1 / 4)
     assert params.D == 4
     assert params.alpha == 2.5
@@ -211,7 +211,7 @@ def _round_robin_split_of_k(n1: int):
 
 def test_lossless_on_pipeline_splits_matches_the_closed_form():
     for n1 in (8, 98):
-        split = vertex_split(complete_bipartite(n1, n1 // 2)).split_graph
+        split = vertex_split(complete_bipartite(n1, n1 // 2))
         assert split == _round_robin_split_of_k(n1)
     # gamma = 1/d1 gives cap 2 at every n1, although (1.0/d1) * n1 falls just
     # below 2 at n1 = 98, 196, 206, 214, 322, 374, 392 and 394
@@ -237,7 +237,7 @@ def test_lossless_contract_errors():
 
 
 def test_lossless_report_reused_only_when_exhaustive_left_at_the_cap(monkeypatch):
-    split = vertex_split(complete_bipartite(8, 4)).split_graph  # cap 2 at gamma 1/4
+    split = vertex_split(complete_bipartite(8, 4))  # cap 2 at gamma 1/4
     searches = []
 
     def counting_search(*args):
@@ -290,7 +290,7 @@ def _both_sides_match_brute(g, caps=None) -> None:
 @pytest.mark.parametrize("rule", SPLIT_RULES)
 def test_search_matches_enumeration_on_k_m_half_splits(rule):
     # side 16, cap 8: the largest subsets reach all 16 right vertices at most
-    split = vertex_split(complete_bipartite(16, 8), rule, 1).split_graph
+    split = vertex_split(complete_bipartite(16, 8), rule, 1)
     assert split.n1 == split.n2 == 16
     _both_sides_match_brute(split, caps=(1, 5, 8))
 

@@ -13,6 +13,7 @@ from bipspec.vsplit import (
     SPLIT_RULES,
     measure_split,
     split_sidecar,
+    split_warnings,
     theorem_r1_check,
     theorem_r2_check,
     vertex_split,
@@ -31,18 +32,19 @@ def _random_min_degree(rng: random.Random, delta: int):
 
 
 def test_split_k84_canonical_example():
-    result = vertex_split(complete_bipartite(8, 4))
-    split = result.split_graph
+    g = complete_bipartite(8, 4)
+    split = vertex_split(g)
     assert (split.n1, split.n2) == (8, 8)
     assert split.m == 32
     assert split.degree_profile().right_degrees == (4,) * 8
-    assert result.warnings == ()
+    assert split_warnings(g, split) == []
 
 
 def test_split_k55_odd_degrees_and_warning():
-    result = vertex_split(complete_bipartite(5, 5))
-    assert result.split_graph.degree_profile().right_degrees == (3,) * 5 + (2,) * 5
-    assert any("n1 > n2" in w for w in result.warnings)
+    g = complete_bipartite(5, 5)
+    split = vertex_split(g)
+    assert split.degree_profile().right_degrees == (3,) * 5 + (2,) * 5
+    assert any("n1 > n2" in w for w in split_warnings(g, split))
 
 
 def test_split_preserves_edge_count():
@@ -50,15 +52,14 @@ def test_split_preserves_edge_count():
     for _ in range(10):
         g = _random_min_degree(rng, 1)
         for rule in SPLIT_RULES:
-            assert vertex_split(g, rule, 5).split_graph.m == g.m
+            assert vertex_split(g, rule, 5).m == g.m
 
 
 def test_split_invariants_on_min_degree_4_graphs():
     rng = random.Random(2)
     for _ in range(30):
         g = _random_min_degree(rng, 4)
-        result = vertex_split(g, "round-robin", 0)
-        split = result.split_graph
+        split = vertex_split(g, "round-robin", 0)
         assert split.m == g.m
         assert split.degree_profile().left_degrees == g.degree_profile().left_degrees
         right = g.degree_profile().right_degrees
@@ -75,9 +76,10 @@ def test_split_invariants_on_min_degree_4_graphs():
 
 def test_split_mapping_index_layout():
     g = complete_bipartite(6, 3)
-    result = vertex_split(g)
-    assert split_sidecar(result)["mapping"] == [[j, g.n2 + j] for j in range(g.n2)]
-    halves = neighbors(result.split_graph, "right")
+    split = vertex_split(g)
+    sidecar = split_sidecar(g, "round-robin", split_warnings(g, split))
+    assert sidecar["mapping"] == [[j, g.n2 + j] for j in range(g.n2)]
+    halves = neighbors(split, "right")
     for j, nb in enumerate(neighbors(g, "right")):
         assert sorted(halves[j] + halves[g.n2 + j]) == list(nb)
 
@@ -87,19 +89,19 @@ def test_split_deterministic_all_rules():
     for rule in SPLIT_RULES:
         r1 = vertex_split(g, rule, 13)
         r2 = vertex_split(g, rule, 13)
-        assert r1.split_graph == r2.split_graph
-        assert split_sidecar(r1) == split_sidecar(r2)
+        assert r1 == r2
+        assert split_sidecar(g, rule, split_warnings(g, r1)) == split_sidecar(g, rule, split_warnings(g, r2))
 
 
 def test_round_robin_connects_where_contiguous_does_not():
     g = complete_bipartite(8, 4)
-    assert vertex_split(g, "round-robin", 0).split_graph.is_connected()
-    assert not vertex_split(g, "contiguous", 0).split_graph.is_connected()
+    assert vertex_split(g, "round-robin", 0).is_connected()
+    assert not vertex_split(g, "contiguous", 0).is_connected()
 
 
 def test_round_robin_connected_on_acceptance_family():
     for m, n in [(8, 4), (5, 5), (6, 6), (8, 6), (12, 6), (16, 8)]:
-        split = vertex_split(complete_bipartite(m, n)).split_graph
+        split = vertex_split(complete_bipartite(m, n))
         assert split.is_connected(), (m, n)
 
 
@@ -147,12 +149,13 @@ def test_split_matches_the_per_vertex_loop(n1, n2, data, rule, seed):
     # no left vertex, are drawn too
     pairs = [(u, v) for u in range(n1) for v in range(n2)]
     g = build(n1, n2, data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
-    result = vertex_split(g, rule, seed)
+    split = vertex_split(g, rule, seed)
+    warnings = split_warnings(g, split)
     edges, disjoint = _loop_split_edges(g, rule, seed)
-    assert result.split_graph == build(n1, 2 * n2, edges)
-    assert ("N(Y_a) and N(Y_b) share no left vertex" in result.warnings) == disjoint
+    assert split == build(n1, 2 * n2, edges)
+    assert ("N(Y_a) and N(Y_b) share no left vertex" in warnings) == disjoint
     isolated = [j for j, nb in enumerate(neighbors(g, "right")) if not nb]
-    warned = [w for w in result.warnings if w.startswith("right vertices of degree 0")]
+    warned = [w for w in warnings if w.startswith("right vertices of degree 0")]
     if isolated:
         first = isolated[0]
         assert warned == [f"right vertices of degree 0: {len(isolated)} (first {first}); their copies are isolated"]
@@ -161,15 +164,31 @@ def test_split_matches_the_per_vertex_loop(n1, n2, data, rule, seed):
 
 
 def test_split_warnings_small_graph():
-    result = vertex_split(complete_bipartite(2, 2))
-    joined = " ".join(result.warnings)
+    g = complete_bipartite(2, 2)
+    joined = " ".join(split_warnings(g, vertex_split(g)))
     assert "minimum degree" in joined
     assert "n1 >= 4" in joined
     assert "n2 >= 3" in joined
 
 
+def test_split_warnings_order_and_text():
+    # one edge on 2 + 2 vertices misses every precondition, leaves right
+    # vertex 1 isolated and gives Y_b no edge at all
+    g = build(2, 2, [(0, 0)])
+    assert split_warnings(g, vertex_split(g)) == [
+        "definition requires minimum degree >= 4, got 0",
+        "definition requires n1 >= 4, got 2",
+        "definition requires n2 >= 3, got 2",
+        "definition requires n1 > n2, got (2, 2)",
+        "definition requires a connected graph",
+        "right vertices of degree 0: 1 (first 1); their copies are isolated",
+        "N(Y_a) and N(Y_b) share no left vertex",
+    ]
+
+
 def test_sidecar_schema():
-    side = split_sidecar(vertex_split(complete_bipartite(5, 5)))
+    g = complete_bipartite(5, 5)
+    side = split_sidecar(g, "round-robin", split_warnings(g, vertex_split(g)))
     assert set(side) == {"mapping", "rule", "warnings"}
     assert side["mapping"][0] == [0, 5]
 
@@ -184,8 +203,9 @@ def _circulant_lambda2() -> float:
 
 
 def test_theorem_r1_k55():
-    split = vertex_split(complete_bipartite(5, 5), "round-robin", 0)
-    report = theorem_r1_check(split, 2, measure_split(split))
+    g = complete_bipartite(5, 5)
+    split = vertex_split(g, "round-robin", 0)
+    report = theorem_r1_check(g, split, 2, measure_split(split))
     assert report.threshold == pytest.approx((2 * 2 - 1) / math.sqrt(2), abs=1e-12)
     assert report.threshold == pytest.approx(2.12132, abs=1e-5)
     assert report.lambda2_prime == pytest.approx(_circulant_lambda2(), abs=1e-8)
@@ -196,8 +216,9 @@ def test_theorem_r1_k55():
 
 
 def test_theorem_r1_preconditions():
-    split = vertex_split(complete_bipartite(8, 4))  # not regular
-    report = theorem_r1_check(split, 2, measure_split(split))
+    g = complete_bipartite(8, 4)  # not regular
+    split = vertex_split(g)
+    report = theorem_r1_check(g, split, 2, measure_split(split))
     assert not report.preconditions_met
     assert "regular" in report.notes
     assert report.lambda2_prime > 0  # still evaluated observationally
@@ -206,29 +227,30 @@ def test_theorem_r1_preconditions():
 def test_theorem_r2_thresholds():
     g = complete_bipartite(8, 4)
     split = vertex_split(g)
-    report = theorem_r2_check(split, 2, measure_split(split))
+    report = theorem_r2_check(g, 2, measure_split(split))
     assert report.threshold == pytest.approx(4 * 3 / math.sqrt(64), abs=1e-12)
     assert report.threshold == 1.5
     assert report.preconditions_met
 
     g55 = complete_bipartite(5, 5)
     split55 = vertex_split(g55)
-    r2 = theorem_r2_check(split55, 2, measure_split(split55))
+    r2 = theorem_r2_check(g55, 2, measure_split(split55))
     assert r2.threshold == pytest.approx((2 * 2 - 1) / math.sqrt(2), abs=1e-12)
 
 
 def test_theorem_r2_non_biregular():
     tree = random_tree(9, "balanced", 4)
     split = vertex_split(tree)
-    report = theorem_r2_check(split, 2, measure_split(split))
+    report = theorem_r2_check(tree, 2, measure_split(split))
     assert not report.preconditions_met
     assert "biregular" in report.notes
-    assert report.measured_kappa == edge_connectivity(split.split_graph)
+    assert report.measured_kappa == edge_connectivity(split)
 
 
 def test_criterion_report_schema():
-    split = vertex_split(complete_bipartite(5, 5))
-    d = theorem_r1_check(split, 2, measure_split(split)).to_json_dict()
+    g = complete_bipartite(5, 5)
+    split = vertex_split(g)
+    d = theorem_r1_check(g, split, 2, measure_split(split)).to_json_dict()
     assert set(d) == {
         "theorem",
         "k",
