@@ -4,7 +4,7 @@ Orientation: left vertices are variable bits, right vertices are parity
 checks, so H[j][i] = 1 exactly when edge (i, j) is present.  The code is the
 null space of H over GF(2); there is no generator-matrix path.  A code is
 the keys of H's ones, the graph's edge keys seen from the checks; the dense
-H is built only when read.
+H is built only when read, and no writer or decoder reads it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import functools
 import heapq
 import itertools
 import operator
-from array import array
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -33,6 +32,8 @@ class _Incidence(NamedTuple):
     Check j holds bits[check_start[j] : check_start[j + 1]] and bit i lies in
     checks bit_checks[bit_start[i] : bit_start[i + 1]], both ascending;
     checks[t] is the check of bits[t] and col_weight[i] the weight of bit i.
+    All are flat int64 arrays, one per list and 8 bytes an entry; the
+    decoder's inner loop reads four of them in place through memoryviews.
     """
 
     checks: np.ndarray
@@ -41,20 +42,6 @@ class _Incidence(NamedTuple):
     bit_checks: np.ndarray
     bit_start: np.ndarray
     col_weight: np.ndarray
-
-
-class _Adjacency(NamedTuple):
-    """_Incidence's check-major and bit-major lists as flat int arrays of the
-    standard library, which the decoder's inner loop indexes and slices
-    without numpy's per-call cost, and the largest column weight.  One flat
-    array per list (not one list per check) keeps the per-code memory at
-    8 bytes an entry."""
-
-    bits: array
-    check_start: array
-    bit_checks: array
-    bit_start: array
-    max_weight: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +55,9 @@ class LinearCode:
     runs on the keys on construction, and its echelon rows are kept: rank,
     dimension = n - rank, rate = dimension / n.  basis (one codeword per
     row, by back-substitution on the kept rows), the incidence lists and
-    the read-only H are derived from the keys on first read.
+    the read-only H are derived from the keys on first read, each once.
+    The decoder and the alist writer read the incidence lists and the pchk
+    writer reads the keys, so H is built only when H itself is read.
     """
 
     n: int
@@ -129,13 +118,6 @@ class LinearCode:
             np.concatenate(([0], np.cumsum(col_weight))),
             col_weight,
         )
-
-    @functools.cached_property
-    def _adjacency(self) -> _Adjacency:
-        inc = self._incidence
-        lists = (inc.bits, inc.check_start, inc.bit_checks, inc.bit_start)
-        top = int(inc.col_weight.max(initial=0))
-        return _Adjacency(*(array("q", a.tolist()) for a in lists), top)
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,6 +307,8 @@ def bit_flip_decode(
     The syndrome, the unsatisfied-check count and the margins are computed
     once with numpy from the code's incidence lists of H, then kept as
     Python data: the syndrome as a bytearray, the margins as a list of ints.
+    The flip loop reads the lists in place through memoryviews, which index
+    and slice to Python ints without numpy's per-call cost.
     Each positive margin value v keeps a min-heap of the bits whose margin
     is v; an entry whose bit has since moved to another margin is dropped
     when it reaches the top.  The next flip is therefore the smallest bit in
@@ -341,13 +325,14 @@ def bit_flip_decode(
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = (word & 1).astype(np.uint8)  # mod 2 before narrowing: 256 reads as 0, -1 as 1
     rows, n = code.check_count, code.n
-    checks, bits, _, _, _, col_weight = code._incidence
+    checks, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
     odd = (np.bincount(checks[word.view(bool)[bits]], minlength=rows) & 1).astype(bool)
     unsatisfied = int(np.count_nonzero(odd))
     if not unsatisfied:
         return word, "decoded"
     margins = 2 * np.bincount(bits[odd[checks]], minlength=n) - col_weight
-    check_bits, check_start, bit_checks, bit_start, top = code._adjacency
+    check_bits, check_start, bit_checks, bit_start = map(memoryview, (bits, check_start, bit_checks, bit_start))
+    top = int(col_weight.max())  # no margin exceeds its bit's weight
     syndrome, margin = bytearray(odd), margins.tolist()
     heaps: list[list[int]] = [[] for _ in range(top + 1)]
     for x in np.flatnonzero(margins > 0).tolist():
@@ -491,11 +476,22 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
 
 
 def write_pchk(code: LinearCode) -> str:
-    """Dense text serialization: `pchk <rows> <cols>` then 0/1 rows."""
-    # ASCII '0'/'1' is 48 + bit; a newline column ends each row
-    text = np.full((code.check_count, code.n + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = code.H + ord("0")
-    return f"pchk {code.check_count} {code.n}\n" + text.tobytes().decode("ascii")
+    """Dense text serialization: `pchk <rows> <cols>` then 0/1 rows.
+
+    One byte buffer is filled straight from the keys, without H: the
+    header, then ASCII '0' rows of n bytes, each ended by a newline, where
+    key j * n + i sets byte j * (n + 1) + i of the rows to '1' (the flat
+    index of cell (j, i) of the rows without their newlines).  The buffer
+    is decoded to the returned str with no intermediate bytes copy.
+    """
+    rows, cols = code.check_count, code.n
+    head = f"pchk {rows} {cols}\n".encode("ascii")
+    buf = np.full(len(head) + rows * (cols + 1), ord("0"), dtype=np.uint8)
+    buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    lines = buf[len(head) :].reshape(rows, cols + 1)
+    lines[:, cols] = ord("\n")
+    lines[:, :cols].flat[code.keys] = ord("1")  # in place, with no index array
+    return str(buf, "ascii")
 
 
 def write_alist(code: LinearCode) -> str:

@@ -288,7 +288,7 @@ def symmetric_eigenvalues(M: SymmetricMatrix) -> SpectrumReport:
     are still needed after 100 sweeps, or if the certified residual exceeds
     the 1e-8 gate.
     """
-    A = M.data.astype(float)
+    A = np.asarray(M.data, dtype=float)  # read in place; no route writes it
     p = _bipartite_split(A)
     if p is None:
         vals, residual, sweeps = _shifted_spectrum(A)

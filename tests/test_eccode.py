@@ -383,6 +383,47 @@ def test_code_from_graph_builds_h_only_when_it_is_read():
     assert np.array_equal(code.H, small.biadjacency().T)
 
 
+def test_decoder_reads_the_incidence_lists_in_place():
+    # the code and error word of test_code_from_graph_builds_h_only_when_it_is_read;
+    # with the incidence lists built, a decode allocates no copy of them
+    # (m = 3,600 ones at 8 bytes an entry per list)
+    rng = random.Random(21)
+    g = build(1200, 600, [(bit, check) for bit in range(1200) for check in rng.sample(range(600), 3)])
+    word = np.zeros(1200, dtype=np.uint8)
+    word[rng.sample(range(1200), 12)] = 1
+    code = parity_check_from_graph(g)
+    code._incidence
+    tracemalloc.start()
+    try:
+        decoded, status = bit_flip_decode(code, word, 1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * g.m
+    expected, expected_status = _dense_bit_flip(code.H, word, 1200)
+    assert status == expected_status and np.array_equal(decoded, expected)
+
+
+def test_pchk_is_written_from_the_keys_without_h():
+    rng = random.Random(5)
+    rows, cols = 1000, 2000
+    g = build(cols, rows, [(bit, check) for bit in range(cols) for check in rng.sample(range(rows), 3)])
+    code = parity_check_from_graph(g)
+    tracemalloc.start()
+    try:
+        text = write_pchk(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "H" not in vars(code)
+    assert peak < 3 * rows * (cols + 1)
+    head = f"pchk {rows} {cols}\n"
+    assert text.startswith(head) and len(text) == len(head) + rows * (cols + 1)
+    body = np.frombuffer(text[len(head) :].encode("ascii"), dtype=np.uint8).reshape(rows, cols + 1)
+    assert (body[:, -1] == ord("\n")).all()
+    assert np.array_equal(body[:, :-1] - ord("0"), code.H)
+
+
 # ------------------------------------------------------------------ oracles
 #
 # Independent references for the numpy kernels: GF(2) elimination on Python

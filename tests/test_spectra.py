@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def test_solver_complete_bipartite_closed_form():
     s = math.sqrt(32)
     expected = [s] + [0.0] * 10 + [-s]
     assert max(abs(a - b) for a, b in zip(rep.eigenvalues, expected)) <= 1e-8
+
+
+def test_solver_reads_the_matrix_in_place():
+    # the 400 + 400 perfect matching: the solve's own arrays take about
+    # 5 n^2 * 8 bytes, and a copy of the float64 matrix would add one more
+    n = 800
+    M = adjacency_matrix(build(400, 400, [(v, v) for v in range(400)]))
+    tracemalloc.start()
+    try:
+        rep = symmetric_eigenvalues(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * n * 8
+    assert rep.eigenvalues == (1.0,) * 400 + (-1.0,) * 400
+    assert not M.data.flags.writeable
 
 
 def test_solver_p4_values():
