@@ -13,6 +13,8 @@ reproducible run to run.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import random
@@ -29,18 +31,10 @@ from .bigraph import BipartiteGraph, build, complete_bipartite, path_graph
 
 @dataclass
 class CriterionResult:
-    cid: str
+    criterion: str
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.cid,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def _random_connected_bipartite(rng: random.Random, max_n: int = 12) -> BipartiteGraph:
@@ -156,7 +150,8 @@ def criterion_4() -> CriterionResult:
         graph_file = Path(tmp) / "p20.bip"
         json_file = Path(tmp) / "report.json"
         graph_file.write_text(bigraph.write_edge_list(path_graph(20)), encoding="utf-8")
-        status = cli.run(["bounds", "--graph", str(graph_file), "--json", str(json_file)])
+        with contextlib.redirect_stdout(io.StringIO()):  # verify-all prints only its own lines
+            status = cli.run(["bounds", "--graph", str(graph_file), "--json", str(json_file)])
         report = json.loads(json_file.read_text(encoding="utf-8"))
     by_id = {f["bound_id"]: f for f in report["findings"] if f.get("type") == "bound"}
     t1 = by_id["T1.iii"]
@@ -351,8 +346,9 @@ def criterion_10() -> CriterionResult:
         out1 = Path(tmp) / "a.json"
         out2 = Path(tmp) / "b.json"
         argv = ["split", "--graph", str(tree_file), "--rule", "seeded-random", "--seed", "3", "--k", "2"]
-        s1 = cli.run(argv + ["--json", str(out1)])
-        s2 = cli.run(argv + ["--json", str(out2)])
+        with contextlib.redirect_stdout(io.StringIO()):  # verify-all prints only its own lines
+            s1 = cli.run(argv + ["--json", str(out1)])
+            s2 = cli.run(argv + ["--json", str(out2)])
         identical = out1.read_bytes() == out2.read_bytes()
         text = bigraph.write_edge_list(tree)
         roundtrip = bigraph.write_edge_list(bigraph.read_edge_list(text)) == text

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -399,20 +398,10 @@ def _max_flow_unit(adj: list[tuple[int, ...]], s: int, t: int, limit: int) -> in
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _integer_parser(text: str) -> Callable[[str], int]:
-    """The parser for the integer tokens of text: each must be ASCII
-    -?[0-9]+, and a bad one raises ValueError.
-
-    Python's int also reads '+3', '1_1' and non-ASCII digits.  Text with no
-    '+', no '_' and no non-ASCII character holds no such token, so int
-    itself serves it and no token is matched one by one.
-    """
-    if text.isascii() and "_" not in text and "+" not in text:
-        return int
-    return _ascii_int
-
-
 def _ascii_int(token: str) -> int:
+    """The integer of an ASCII -?[0-9]+ token; any other token raises
+    ValueError, where Python's int would also read '+3', '1_1' and
+    non-ASCII digits."""
     if _INTEGER.fullmatch(token) is None:
         raise ValueError(f"invalid integer {token!r}")
     return int(token)
@@ -497,7 +486,6 @@ def _read_lines(text: str) -> BipartiteGraph:
     """read_edge_list's line walk: one pass over the lines parses the header
     and the edges; the range and duplicate checks then run on all edges at
     once, and the first bad pair is named by its line."""
-    parse = _integer_parser(text)
     lines = enumerate(text.splitlines(), start=1)
     at = 0  # the line being read
     for at, raw in lines:
@@ -510,7 +498,7 @@ def _read_lines(text: str) -> BipartiteGraph:
         if len(header) != 3 or header[0] != "bip":
             raise ValueError("expected header 'bip <n1> <n2>'")
         try:
-            n1, n2 = parse(header[1]), parse(header[2])
+            n1, n2 = _ascii_int(header[1]), _ascii_int(header[2])
         except ValueError:
             raise ValueError(f"expected integer sides, got {header[1]!r} {header[2]!r}") from None
         if max(n1, n2) > MAX_SIDE:
@@ -525,7 +513,7 @@ def _read_lines(text: str) -> BipartiteGraph:
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e":
             try:
-                pair = parse(parts[1]), parse(parts[2])
+                pair = _ascii_int(parts[1]), _ascii_int(parts[2])
             except ValueError:
                 problem = f"line {at}: expected integer endpoints, got {parts[1]!r} {parts[2]!r}"
                 break

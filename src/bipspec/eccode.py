@@ -13,7 +13,7 @@ import functools
 import heapq
 import itertools
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -118,15 +118,6 @@ class LinearCode:
             np.concatenate(([0], np.cumsum(col_weight))),
             col_weight,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "block_length": self.n,
-            "check_count": self.check_count,
-            "rank": self.rank,
-            "dimension": self.dimension,
-            "rate": self.rate,
-        }
 
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
@@ -388,9 +379,6 @@ class DistanceReport:
     premises_verified: bool
     bound_holds: bool | None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class N2RuleDiagnostic:
@@ -408,9 +396,6 @@ class N2RuleDiagnostic:
     d1: int
     feasible: bool
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "candidates": list(self.candidates)}
 
 
 def n2_selection_rule(n1: int) -> N2RuleDiagnostic:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +42,14 @@ _BLOCK_WORDS = 1 << 13
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    """Minimum neighborhood ratio |N(S)|/|S| over examined subsets S."""
+    """Minimum neighborhood ratio |N(S)|/|S| over examined subsets S; the
+    CLI's `expansion` finding writes subset_cap as `cap`."""
 
     side: str
     subset_cap: int
     alpha: float
     witness: tuple[int, ...]
     exhaustive: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "cap": self.subset_cap,
-            "alpha": self.alpha,
-            "witness": list(self.witness),
-            "exhaustive": self.exhaustive,
-        }
 
 
 def _neighbor_rows(g: BipartiteGraph, side: str) -> np.ndarray:
@@ -258,9 +250,6 @@ class LosslessParams:
     alpha: float
     epsilon: float
     exhaustive: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_lossless_feasible(n1: int, gamma: float) -> None:

@@ -105,20 +105,14 @@ class SpectrumReport:
 
     residual bounds, relative to max(1, ||M||_F), the eigenpair residuals
     ||M v - lambda v|| and the collective term of the eigenvalues certified
-    without an eigenvector; it is certified to be at most 1e-8.
+    without an eigenvector; it is certified to be at most 1e-8.  iterations,
+    the sweep count, is left out of the CLI's `spectrum` finding.
     """
 
     eigenvalues: tuple[float, ...]
-    matrix_kind: str
+    kind: str
     residual: float
     iterations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.matrix_kind,
-            "eigenvalues": list(self.eigenvalues),
-            "residual": self.residual,
-        }
 
 
 @functools.lru_cache(maxsize=64)
@@ -407,18 +401,13 @@ class InterlacingReport:
     (the t = 2 quotient form); claimed_chain_holds checks the stronger chain
     lambda_1 >= eta_1 >= lambda_2 and lambda_(n-1) >= eta_2 >= lambda_n.
     The chain is an observable, not an invariant: instances violate it.
+    flavor is the quotient's.
     """
 
+    flavor: str
     valid_form_holds: bool
     claimed_chain_holds: bool
     witnesses: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "valid_form_holds": self.valid_form_holds,
-            "claimed_chain_holds": self.claimed_chain_holds,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def interlacing_check(full: SpectrumReport, q: Quotient2x2) -> InterlacingReport:
@@ -442,6 +431,7 @@ def interlacing_check(full: SpectrumReport, q: Quotient2x2) -> InterlacingReport
     ]
     witnesses = tuple(msg for ok, msg in valid_checks + chain_checks if not ok)
     return InterlacingReport(
+        q.flavor,
         all(ok for ok, _ in valid_checks),
         all(ok for ok, _ in chain_checks),
         witnesses,
@@ -457,21 +447,11 @@ class BoundReport:
     """
 
     bound_id: str
-    bound_value: float
-    observed_value: float
+    bound: float
+    observed: float
     holds: bool
     preconditions_met: bool
     notes: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "bound": self.bound_value,
-            "observed": self.observed_value,
-            "holds": self.holds,
-            "preconditions_met": self.preconditions_met,
-            "notes": self.notes,
-        }
 
 
 def _upper(bound_id: str, bound: float, observed: float, pre: bool, notes: str) -> BoundReport:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class ConnectivityCriterionReport:
     conclusion_holds: bool
     preconditions_met: bool
     notes: str = ""
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def measure_split(split: BipartiteGraph) -> tuple[float, int]:

@@ -15,7 +15,7 @@ from bipspec import acceptance
 
 
 def _check(result: acceptance.CriterionResult) -> None:
-    line = f"ACCEPTANCE {result.cid} {result.name}: {'PASS' if result.passed else 'FAIL'}"
+    line = f"ACCEPTANCE {result.criterion} {result.name}: {'PASS' if result.passed else 'FAIL'}"
     print(line)
     assert result.passed, f"{line}\ndetails: {json.dumps(result.details, default=str, indent=2)}"
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -224,7 +225,7 @@ def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch
 def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
     g = vertex_split(bigraph.complete_bipartite(8, 4))
     graph = _write_graph(tmp_path, g)
-    expected = expansion.lossless_parameters(g, 0.25).to_json_dict()
+    expected = vars(expansion.lossless_parameters(g, 0.25))
     calls = _count_calls(monkeypatch, expansion.vertex_expansion)
     out_json = tmp_path / "exp.json"
     assert run(["expansion", "--graph", graph, "--gamma", "0.25", "--json", str(out_json)]) == 0
@@ -430,6 +431,46 @@ def test_run_report_schema(tmp_path):
     report = json.loads(out_json.read_text(encoding="utf-8"))
     assert set(report) == {"command", "inputs", "findings", "violations", "exit_status"}
     assert report["command"] == "bounds"
+
+
+# the findings the CLI builds from a report's fields, by finding type
+_REPORT_OF_FINDING = {
+    "bound": spectra.BoundReport,
+    "interlacing": spectra.InterlacingReport,
+    "connectivity-criterion": vsplit.ConnectivityCriterionReport,
+    "lossless": expansion.LosslessParams,
+    "distance": eccode.DistanceReport,
+    "n2-rule": eccode.N2RuleDiagnostic,
+    "criterion": acceptance.CriterionResult,
+}
+
+
+def test_findings_hold_exactly_their_reports_fields(tmp_path):
+    graph = _write_graph(tmp_path, vertex_split(bigraph.complete_bipartite(8, 4)))
+    out_json = tmp_path / "r.json"
+    seen = set()
+    for argv in (
+        ["bounds", "--graph", graph],
+        ["split", "--graph", graph, "--k", "2"],
+        ["expansion", "--graph", graph, "--gamma", "0.25"],
+        ["code", "--pipeline", "12"],
+        ["verify-all"],
+    ):
+        run([*argv, "--json", str(out_json)])
+        for finding in json.loads(out_json.read_text(encoding="utf-8"))["findings"]:
+            report = _REPORT_OF_FINDING.get(finding["type"])
+            if report is not None:
+                assert set(finding) - {"type"} == {f.name for f in dataclasses.fields(report)}, finding
+                seen.add(finding["type"])
+    assert seen == set(_REPORT_OF_FINDING)
+
+
+def test_verify_all_prints_only_its_own_lines(capsys):
+    assert run(["verify-all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "no violations"
+    assert [line.split()[0] for line in lines[:-1]] == [f"C{i}" for i in range(1, 12)]
+    assert all(line.endswith(": PASS") for line in lines[:-1])
 
 
 def test_generators_refuse_before_building_an_edge_set(monkeypatch, capsys):

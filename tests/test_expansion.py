@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipspec import expansion
-from bipspec.bigraph import _pack_keys, build, complete_bipartite, random_tree
+from bipspec.bigraph import _pack_keys, build, complete_bipartite, random_tree, write_edge_list
+from bipspec.cli import run
 from bipspec.expansion import (
     ExpansionReport,
     check_lossless_feasible,
@@ -173,9 +175,13 @@ def test_sampled_mode_flagged():
     assert (report.alpha, report.witness) == (1.0, (0, 1, 2))
 
 
-def test_expansion_report_schema():
-    d = vertex_expansion(complete_bipartite(3, 3), "left", 1).to_json_dict()
-    assert set(d) == {"side", "cap", "alpha", "witness", "exhaustive"}
+def test_expansion_report_schema(tmp_path):
+    graph, out = tmp_path / "k33.bip", tmp_path / "expansion.json"
+    graph.write_text(write_edge_list(complete_bipartite(3, 3)), encoding="utf-8")
+    assert run(["expansion", "--graph", str(graph), "--side", "left", "--cap", "1", "--json", str(out)]) == 0
+    [d] = json.loads(out.read_text(encoding="utf-8"))["findings"]
+    assert d["type"] == "expansion"
+    assert set(d) - {"type"} == {"side", "cap", "alpha", "witness", "exhaustive"}
 
 
 def test_gamma_derived_cap():

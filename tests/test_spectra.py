@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from bipspec import spectra
-from bipspec.bigraph import build, complete_bipartite, path_graph, random_tree
+from bipspec.bigraph import build, complete_bipartite, path_graph, random_tree, write_edge_list
+from bipspec.cli import run
 from bipspec.spectra import (
     BoundReport,
     SymmetricMatrix,
@@ -455,7 +457,7 @@ def test_lifted_k84():
     assert rep.eigenvalues[-1] == pytest.approx(-s, abs=1e-12)
     assert all(x == 0.0 for x in rep.eigenvalues[1:-1])
     assert rep.residual <= 1e-8
-    assert rep.matrix_kind == "lifted"
+    assert rep.kind == "lifted"
 
 
 def test_lifted_rank_at_most_two():
@@ -588,8 +590,8 @@ def _by_id(reports: list[BoundReport]) -> dict[str, BoundReport]:
 def test_bound_suite_p4():
     reports = _by_id(_suite(path_graph(4)))
     t1 = reports["T1.iii"]
-    assert t1.bound_value == pytest.approx(1.5, abs=1e-12)
-    assert t1.observed_value == pytest.approx(0.6180339887498949, abs=1e-8)
+    assert t1.bound == pytest.approx(1.5, abs=1e-12)
+    assert t1.observed == pytest.approx(0.6180339887498949, abs=1e-8)
     assert t1.holds
     assert all(r.holds for r in reports.values())
 
@@ -598,12 +600,12 @@ def test_bound_suite_p20_violations():
     reports = _by_id(_suite(path_graph(20)))
     t1 = reports["T1.iii"]
     assert not t1.holds
-    assert t1.bound_value == pytest.approx(1.9, abs=1e-6)
-    assert t1.observed_value == pytest.approx(2 * math.cos(2 * math.pi / 21), abs=1e-6)
+    assert t1.bound == pytest.approx(1.9, abs=1e-6)
+    assert t1.observed == pytest.approx(2 * math.cos(2 * math.pi / 21), abs=1e-6)
     t5 = reports["T5.ii"]
     assert not t5.holds
-    assert t5.bound_value == pytest.approx(3.8, abs=1e-6)
-    assert t5.observed_value == pytest.approx(2 - 2 * math.cos(18 * math.pi / 20), abs=1e-6)
+    assert t5.bound == pytest.approx(3.8, abs=1e-6)
+    assert t5.observed == pytest.approx(2 - 2 * math.cos(18 * math.pi / 20), abs=1e-6)
     assert not reports["T2-tree"].holds
     assert not reports["T9-tree"].holds
 
@@ -611,7 +613,7 @@ def test_bound_suite_p20_violations():
 def test_bound_suite_tree_bound_value_odd_n():
     g = random_tree(9, "balanced", 2)
     reports = _by_id(_suite(g))
-    assert reports["T2-tree"].bound_value == pytest.approx(2 * 8 / math.sqrt(80), abs=1e-12)
+    assert reports["T2-tree"].bound == pytest.approx(2 * 8 / math.sqrt(80), abs=1e-12)
     assert reports["T2-tree"].holds
 
 
@@ -641,11 +643,22 @@ def test_bound_suite_rejects_empty():
         _suite(build(2, 2, []))
 
 
-def test_bound_report_schema():
-    rep = _suite(path_graph(4))[0].to_json_dict()
-    assert set(rep) == {"bound_id", "bound", "observed", "holds", "preconditions_met", "notes"}
+def _findings(tmp_path, command: str, g) -> list[dict]:
+    """The findings of the CLI's `command` on g, read from its --json report."""
+    graph, out = tmp_path / "g.bip", tmp_path / "report.json"
+    graph.write_text(write_edge_list(g), encoding="utf-8")
+    assert run([command, "--graph", str(graph), "--json", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["findings"]
 
 
-def test_spectrum_report_schema():
-    rep = symmetric_eigenvalues(adjacency_matrix(path_graph(4))).to_json_dict()
-    assert set(rep) == {"kind", "eigenvalues", "residual"}
+def test_bound_report_schema(tmp_path):
+    bounds = [f for f in _findings(tmp_path, "bounds", path_graph(4)) if f["type"] == "bound"]
+    assert len(bounds) == 8
+    for rep in bounds:
+        assert set(rep) - {"type"} == {"bound_id", "bound", "observed", "holds", "preconditions_met", "notes"}
+
+
+def test_spectrum_report_schema(tmp_path):
+    [rep] = _findings(tmp_path, "spectrum", path_graph(4))
+    assert rep["type"] == "spectrum"
+    assert set(rep) - {"type"} == {"kind", "eigenvalues", "residual"}

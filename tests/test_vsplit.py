@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import build, complete_bipartite, edge_connectivity, random_tree
+from bipspec.bigraph import build, complete_bipartite, edge_connectivity, random_tree, write_edge_list
+from bipspec.cli import run
 from bipspec.vsplit import (
     SPLIT_RULES,
     measure_split,
@@ -247,18 +249,22 @@ def test_theorem_r2_non_biregular():
     assert report.measured_kappa == edge_connectivity(split)
 
 
-def test_criterion_report_schema():
-    g = complete_bipartite(5, 5)
-    split = vertex_split(g)
-    d = theorem_r1_check(g, split, 2, measure_split(split)).to_json_dict()
-    assert set(d) == {
-        "theorem",
-        "k",
-        "threshold",
-        "lambda2_prime",
-        "criterion_met",
-        "measured_kappa",
-        "conclusion_holds",
-        "preconditions_met",
-        "notes",
-    }
+def test_criterion_report_schema(tmp_path):
+    graph, out = tmp_path / "k55.bip", tmp_path / "split.json"
+    graph.write_text(write_edge_list(complete_bipartite(5, 5)), encoding="utf-8")
+    assert run(["split", "--graph", str(graph), "--k", "2", "--json", str(out)]) == 0
+    findings = json.loads(out.read_text(encoding="utf-8"))["findings"]
+    criteria = [f for f in findings if f["type"] == "connectivity-criterion"]
+    assert [d["theorem"] for d in criteria] == ["r1", "r2"]
+    for d in criteria:
+        assert set(d) - {"type"} == {
+            "theorem",
+            "k",
+            "threshold",
+            "lambda2_prime",
+            "criterion_met",
+            "measured_kappa",
+            "conclusion_holds",
+            "preconditions_met",
+            "notes",
+        }
