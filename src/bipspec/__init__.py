@@ -48,7 +48,6 @@ from .spectra import (
 from .vsplit import (
     ConnectivityCriterionReport,
     measure_split,
-    split_sidecar,
     split_warnings,
     theorem_r1_check,
     theorem_r2_check,

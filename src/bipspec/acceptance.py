@@ -6,14 +6,17 @@ tests/test_acceptance.py asserts these results one by one, and the CLI's
 verify-all subcommand prints them, so both front ends share one
 implementation and one set of numbers.
 
-All randomness is seeded inside each criterion, which makes every check
-reproducible run to run.
+Inputs that criteria share are made once per process by three cached
+builders (_spectrum, _quotient_graphs, _pipeline), so the suite solves each
+matrix once, apart from the commands C4 and C10 run through cli.run.  Every
+draw is seeded, which makes every check reproducible run to run.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -62,18 +65,37 @@ def _random_min_degree4(rng: random.Random) -> BipartiteGraph:
             return g
 
 
+@functools.cache
+def _spectrum(g: BipartiteGraph, kind: str) -> spectra.SpectrumReport:
+    """g's spectrum of a kind in spectra.MATRIX_BUILDERS; the suite's only eigensolve."""
+    return spectra.symmetric_eigenvalues(spectra.MATRIX_BUILDERS[kind](g))
+
+
+@functools.cache
+def _quotient_graphs() -> tuple[BipartiteGraph, ...]:
+    """The 200 seeded connected graphs of C2 and C3."""
+    rng = random.Random(20260201)
+    return tuple(_random_connected_bipartite(rng) for _ in range(200))
+
+
+@functools.cache
+def _pipeline() -> eccode.ExpanderCodePipeline:
+    """The n1 = 8 expander code of C9 and C11."""
+    return eccode.construct_expander_code(8)
+
+
 def criterion_1() -> CriterionResult:
     """Eigensolver oracle: paths and complete bipartite closed forms, 1e-8."""
     worst = 0.0
     checked = 0
     for n in range(3, 21):
-        rep = spectra.symmetric_eigenvalues(spectra.adjacency_matrix(path_graph(n)))
+        rep = _spectrum(path_graph(n), "adjacency")
         closed = sorted((2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)), reverse=True)
         worst = max(worst, max(abs(a - b) for a, b in zip(rep.eigenvalues, closed)))
         checked += 1
     for m in range(1, 9):
         for n in range(1, 9):
-            rep = spectra.symmetric_eigenvalues(spectra.adjacency_matrix(complete_bipartite(m, n)))
+            rep = _spectrum(complete_bipartite(m, n), "adjacency")
             s = math.sqrt(m * n)
             closed = [s] + [0.0] * (m + n - 2) + [-s]
             worst = max(worst, max(abs(a - b) for a, b in zip(rep.eigenvalues, closed)))
@@ -88,11 +110,9 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Quotient closed forms exact and lifted spectra within 1e-8, 200 graphs."""
-    rng = random.Random(20260201)
     failures: list[str] = []
     worst_lifted = 0.0
-    for i in range(200):
-        g = _random_connected_bipartite(rng)
+    for i, g in enumerate(_quotient_graphs()):
         qa = spectra.bipartite_quotient(g, "adjacency")
         eta = g.m / math.sqrt(g.n1 * g.n2)
         if qa.eta1 != eta or qa.eta2 != -eta:
@@ -123,13 +143,10 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Valid-form interlacing never fails on the 200 graphs (tolerance 1e-9)."""
-    rng = random.Random(20260201)
     violations: list[str] = []
-    for i in range(200):
-        g = _random_connected_bipartite(rng)
-        full = spectra.symmetric_eigenvalues(spectra.adjacency_matrix(g))
+    for i, g in enumerate(_quotient_graphs()):
         q = spectra.bipartite_quotient(g, "adjacency")
-        rep = spectra.interlacing_check(full, q)
+        rep = spectra.interlacing_check(_spectrum(g, "adjacency"), q)
         if not rep.valid_form_holds:
             violations.append(f"graph {i}: {rep.witnesses}")
     return CriterionResult(
@@ -197,11 +214,11 @@ def criterion_5() -> CriterionResult:
     worst_lq = 0.0
     corpus = _symmetry_corpus()
     for g in corpus:
-        lam = spectra.symmetric_eigenvalues(spectra.adjacency_matrix(g)).eigenvalues
+        lam = _spectrum(g, "adjacency").eigenvalues
         n = len(lam)
         worst_sym = max(worst_sym, max(abs(lam[i] + lam[n - 1 - i]) for i in range(n)))
-        mu = spectra.symmetric_eigenvalues(spectra.laplacian_matrix(g)).eigenvalues
-        nu = spectra.symmetric_eigenvalues(spectra.signless_laplacian_matrix(g)).eigenvalues
+        mu = _spectrum(g, "laplacian").eigenvalues
+        nu = _spectrum(g, "signless-laplacian").eigenvalues
         worst_lq = max(worst_lq, max(abs(a - b) for a, b in zip(mu, nu)))
     return CriterionResult(
         "C5",
@@ -243,18 +260,12 @@ def criterion_7() -> CriterionResult:
     """K_{5,5} split: lambda2' matches the circulant oracle; kappa' >= 2."""
     g = complete_bipartite(5, 5)
     split = vsplit.vertex_split(g, "round-robin", 0)
-    report = vsplit.theorem_r1_check(g, split, 2, vsplit.measure_split(split))
+    measured = (_spectrum(split, "adjacency").eigenvalues[1], bigraph.edge_connectivity(split))
+    report = vsplit.theorem_r1_check(g, split, 2, measured)
     # independent oracle: the round-robin split of K_{5,5} is a pair of
     # circulants over Z_5, so its singular values have a closed form
-    singular = sorted(
-        (
-            math.sqrt(
-                abs(1 + w + w**2) ** 2 + abs(w**3 + w**4) ** 2
-            )
-            for w in (cmath.exp(2j * math.pi * k / 5) for k in range(5))
-        ),
-        reverse=True,
-    )
+    roots = (cmath.exp(2j * math.pi * k / 5) for k in range(5))
+    singular = sorted((math.sqrt(abs(1 + w + w**2) ** 2 + abs(w**3 + w**4) ** 2) for w in roots), reverse=True)
     oracle_lambda2 = singular[1]
     checks = {
         "lambda2_matches_oracle": abs(report.lambda2_prime - oracle_lambda2) <= 1e-8,
@@ -306,7 +317,7 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Code pipeline n1 = 8: weights, codeword count, bounds, distance."""
-    pipe = eccode.construct_expander_code(8)
+    pipe = _pipeline()
     H = pipe.code.H
     # independent null-space count: every vector of GF(2)^8
     count = sum(1 for i in range(1 << 8) if not (H @ np.array([i >> b & 1 for b in range(8)], dtype=np.uint8) % 2).any())
@@ -362,8 +373,7 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Decoder soundness and single-bit correction on the pipeline code."""
-    pipe = eccode.construct_expander_code(8)
-    code = pipe.code
+    code = _pipeline().code
     words = eccode.codewords(code)
     rng = random.Random(20260606)
     failures: list[str] = []

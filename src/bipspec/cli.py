@@ -146,12 +146,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
-    builders = {
-        "adjacency": spectra.adjacency_matrix,
-        "laplacian": spectra.laplacian_matrix,
-        "signless-laplacian": spectra.signless_laplacian_matrix,
-    }
-    report = spectra.symmetric_eigenvalues(builders[args.matrix](g))
+    report = spectra.symmetric_eigenvalues(spectra.MATRIX_BUILDERS[args.matrix](g))
     print(f"{args.matrix} spectrum of {g.n1}+{g.n2} vertices, {g.m} edges:")
     for value, count in spectra.eigenvalue_clusters(report.eigenvalues):
         mult = f" (x{count})" if count > 1 else ""
@@ -198,7 +193,8 @@ def _cmd_split(args) -> int:
     warnings = vsplit.split_warnings(g, split)
     for w in warnings:
         print(f"  warning: {w}")
-    sidecar = vsplit.split_sidecar(g, args.rule, warnings)
+    # the sidecar of split --out: right vertex j's copies, the rule, the warnings
+    sidecar = {"mapping": [[j, g.n2 + j] for j in range(g.n2)], "rule": args.rule, "warnings": warnings}
     findings: list[dict] = [
         {"type": "split", "n1": split.n1, "n2_prime": split.n2, "m": split.m, **sidecar}
     ]
@@ -328,11 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues of a graph matrix")
     p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument(
-        "--matrix",
-        choices=("adjacency", "laplacian", "signless-laplacian"),
-        default="adjacency",
-    )
+    p.add_argument("--matrix", choices=tuple(spectra.MATRIX_BUILDERS), default="adjacency")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(fn=_cmd_spectrum)
 

@@ -99,6 +99,14 @@ def signless_laplacian_matrix(g: BipartiteGraph) -> SymmetricMatrix:
     return SymmetricMatrix(Q, "signless-laplacian")
 
 
+# each matrix kind of a graph, by the name its SymmetricMatrix carries
+MATRIX_BUILDERS = {
+    "adjacency": adjacency_matrix,
+    "laplacian": laplacian_matrix,
+    "signless-laplacian": signless_laplacian_matrix,
+}
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Full real spectrum, descending, with solver diagnostics.

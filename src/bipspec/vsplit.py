@@ -101,15 +101,6 @@ def split_warnings(g: BipartiteGraph, split: BipartiteGraph) -> list[str]:
     return warnings
 
 
-def split_sidecar(g: BipartiteGraph, rule: str, warnings: list[str]) -> dict:
-    """JSON sidecar accompanying the edge list of g's split by rule."""
-    return {
-        "mapping": [[j, g.n2 + j] for j in range(g.n2)],
-        "rule": rule,
-        "warnings": warnings,
-    }
-
-
 @dataclass(frozen=True)
 class ConnectivityCriterionReport:
     """Second-eigenvalue connectivity criterion, measured both ways.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bipspec import acceptance, bigraph, eccode, expansion, spectra, vsplit
+from bipspec import acceptance, bigraph, cli, eccode, expansion, spectra, vsplit
 from bipspec.cli import run
 from bipspec.vsplit import vertex_split
 
@@ -116,17 +116,20 @@ def test_bounds_and_split_golden_bytes(tmp_path, monkeypatch, name):
 
 
 def test_code_golden_bytes(tmp_path, monkeypatch):
-    # the 13-bit code of dense22.bip through both writers, and the n1 = 12
-    # pipeline, whose distance comes from the collision search
+    # the 13-bit code of dense22.bip through both writers, the n1 = 12
+    # pipeline, whose distance comes from the collision search, and the
+    # acceptance suite's report, whose C9 and C11 read the n1 = 8 pipeline
     (tmp_path / "dense22.bip").write_bytes((GOLDEN / "dense22.bip").read_bytes())
     monkeypatch.chdir(tmp_path)
     run(["code", "--graph", "dense22.bip", "--json", "c.json", "--pchk", "c.pchk", "--alist", "c.alist"])
     run(["code", "--pipeline", "12", "--json", "p.json"])
+    run(["verify-all", "--json", "v.json"])
     for produced, golden in (
         ("c.json", "code_dense22.json"),
         ("c.pchk", "code_dense22.pchk"),
         ("c.alist", "code_dense22.alist"),
         ("p.json", "code_pipeline12.json"),
+        ("v.json", "verify_all.json"),
     ):
         assert (tmp_path / produced).read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
@@ -200,6 +203,39 @@ def test_each_matrix_solved_once_per_command(tmp_path, monkeypatch):
     eig.clear()
     assert run(["split", "--graph", graph, "--k", "2"]) == 0
     assert (len(eig), len(kappa)) == (1, 1)
+
+
+def test_verify_all_makes_each_input_once(monkeypatch):
+    # the suite's own eigensolves reach each matrix once, its graphs are
+    # drawn once and its code is built once, from cold caches and warm ones;
+    # C4 and C10 run commands through cli.run, which solve their own inputs
+    # (C10 runs one command twice on purpose)
+    eig = _count_calls(monkeypatch, spectra.symmetric_eigenvalues)
+    draws = _count_calls(monkeypatch, acceptance._random_connected_bipartite)
+    pipelines = _count_calls(monkeypatch, eccode.construct_expander_code)
+    nested: set[int] = set()  # indices in eig of the solves inside cli.run
+    real_run = cli.run
+
+    def nested_run(argv):
+        start = len(eig)
+        try:
+            return real_run(argv)
+        finally:
+            nested.update(range(start, len(eig)))
+
+    monkeypatch.setattr(cli, "run", nested_run)
+    for cache in (acceptance._spectrum, acceptance._quotient_graphs, acceptance._pipeline):
+        cache.cache_clear()
+    for cold in (True, False):
+        for counts in (eig, draws, pipelines, nested):
+            counts.clear()
+        assert run(["verify-all"]) == 0
+        own = [M.data.tobytes() for i, (M,) in enumerate(eig) if i not in nested]
+        assert len(own) == len(set(own))
+        assert len(nested) == 4  # C4's two spectra of P_20, C10's two splits
+        # C2 and C3 share 200 graphs, and C5 draws 30 of its own
+        assert (len(draws), len(pipelines)) == ((230, 1) if cold else (30, 0))
+        assert cold or not own
 
 
 def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch):
@@ -299,6 +335,20 @@ def test_split_command_files_and_checks(tmp_path):
     assert kinds == ["split", "connectivity-criterion", "connectivity-criterion"]
     r1 = report["findings"][1]
     assert r1["criterion_met"] and r1["conclusion_holds"]
+
+
+def test_split_sidecar_schema_and_mapping(tmp_path):
+    # the copies of right vertex j are right vertices j and n2 + j
+    for (m, n), rule in (((6, 3), "round-robin"), ((5, 5), "seeded-random")):
+        graph = _write_graph(tmp_path, bigraph.complete_bipartite(m, n))
+        base = tmp_path / "split_out"
+        assert run(["split", "--graph", graph, "--rule", rule, "--out", str(base)]) == 0
+        sidecar = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+        assert set(sidecar) == {"mapping", "rule", "warnings"}
+        assert sidecar["mapping"] == [[j, n + j] for j in range(n)]
+        assert sidecar["rule"] == rule
+        g = bigraph.complete_bipartite(m, n)
+        assert sidecar["warnings"] == vsplit.split_warnings(g, vertex_split(g, rule))
 
 
 def test_split_counts_isolated_right_vertices_in_one_warning(tmp_path, capsys):

@@ -14,7 +14,6 @@ from bipspec.cli import run
 from bipspec.vsplit import (
     SPLIT_RULES,
     measure_split,
-    split_sidecar,
     split_warnings,
     theorem_r1_check,
     theorem_r2_check,
@@ -77,10 +76,10 @@ def test_split_invariants_on_min_degree_4_graphs():
 
 
 def test_split_mapping_index_layout():
+    # the copies of right vertex j are right vertices j and n2 + j, as the
+    # sidecar of `split --out` maps them (tests/test_cli.py)
     g = complete_bipartite(6, 3)
     split = vertex_split(g)
-    sidecar = split_sidecar(g, "round-robin", split_warnings(g, split))
-    assert sidecar["mapping"] == [[j, g.n2 + j] for j in range(g.n2)]
     halves = neighbors(split, "right")
     for j, nb in enumerate(neighbors(g, "right")):
         assert sorted(halves[j] + halves[g.n2 + j]) == list(nb)
@@ -92,7 +91,7 @@ def test_split_deterministic_all_rules():
         r1 = vertex_split(g, rule, 13)
         r2 = vertex_split(g, rule, 13)
         assert r1 == r2
-        assert split_sidecar(g, rule, split_warnings(g, r1)) == split_sidecar(g, rule, split_warnings(g, r2))
+        assert split_warnings(g, r1) == split_warnings(g, r2)
 
 
 def test_round_robin_connects_where_contiguous_does_not():
@@ -186,13 +185,6 @@ def test_split_warnings_order_and_text():
         "right vertices of degree 0: 1 (first 1); their copies are isolated",
         "N(Y_a) and N(Y_b) share no left vertex",
     ]
-
-
-def test_sidecar_schema():
-    g = complete_bipartite(5, 5)
-    side = split_sidecar(g, "round-robin", split_warnings(g, vertex_split(g)))
-    assert set(side) == {"mapping", "rule", "warnings"}
-    assert side["mapping"][0] == [0, 5]
 
 
 def _circulant_lambda2() -> float:
