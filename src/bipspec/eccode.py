@@ -3,8 +3,9 @@
 Orientation: left vertices are variable bits, right vertices are parity
 checks, so H[j][i] = 1 exactly when edge (i, j) is present.  The code is the
 null space of H over GF(2); there is no generator-matrix path.  A code is
-the keys of H's ones, the graph's edge keys seen from the checks; the dense
-H is built only when read, and no writer or decoder reads it.
+its factor graph's own edge keys i * check_count + j, bit-major, and every
+other form is read from that one layout; the dense H is built only when
+read, and no writer or decoder reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,36 +26,19 @@ MAX_ENUM_DIMENSION = 20
 TABLE_DIMENSION = 12  # basis vectors spanned into min_distance's table
 
 
-class _Incidence(NamedTuple):
-    """The ones of H listed check-major and bit-major.
-
-    Check j holds bits[check_start[j] : check_start[j + 1]] and bit i lies in
-    checks bit_checks[bit_start[i] : bit_start[i + 1]], both ascending;
-    checks[t] is the check of bits[t] and col_weight[i] the weight of bit i.
-    All are flat int64 arrays, one per list and 8 bytes an entry; the
-    decoder's inner loop reads four of them in place through memoryviews.
-    """
-
-    checks: np.ndarray
-    bits: np.ndarray
-    check_start: np.ndarray
-    bit_checks: np.ndarray
-    bit_start: np.ndarray
-    col_weight: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     """Parity-check view of a binary linear code.
 
     The code is its block length n, its check_count and `keys`: the
-    read-only, ascending int64 keys j * n + i of the ones of its
-    check_count x n parity-check matrix H, unchecked here (from_matrix and
-    parity_check_from_graph check their input).  The forward elimination
-    runs on the keys on construction, and its echelon rows are kept: rank,
-    dimension = n - rank, rate = dimension / n.  basis (one codeword per
-    row, by back-substitution on the kept rows), the incidence lists and
-    the read-only H are derived from the keys on first read, each once.
+    read-only, ascending int64 keys i * check_count + j of the ones (j, i)
+    of its check_count x n parity-check matrix H, the factor graph's edge
+    keys, unchecked here (from_matrix and parity_check_from_graph check
+    their input).  The forward elimination runs on the keys on
+    construction, and its echelon rows are kept: rank, dimension = n - rank,
+    rate = dimension / n.  basis (one codeword per row, by back-substitution
+    on the kept rows), the incidence lists and the read-only H are derived
+    from the keys on first read, each once.
     The decoder and the alist writer read the incidence lists and the pchk
     writer reads the keys, so H is built only when H itself is read.
     """
@@ -73,11 +56,12 @@ class LinearCode:
 
     @classmethod
     def from_matrix(cls, H: np.ndarray) -> LinearCode:
-        H = np.asarray(H, dtype=np.uint8) & 1  # % 2, without numpy's slow uint8 modulo
+        H = np.asarray(H, dtype=np.uint8)
         if H.ndim != 2:
             raise ValueError(f"parity-check matrix must be 2-D, got shape {H.shape}")
         rows, cols = H.shape
-        return cls(cols, rows, np.flatnonzero(H))
+        # H^T mod 2 in C order (& 1, without numpy's slow uint8 modulo)
+        return cls(cols, rows, np.flatnonzero(np.bitwise_and(H.T, 1, order="C")))
 
     @functools.cached_property
     def rank(self) -> int:
@@ -95,7 +79,7 @@ class LinearCode:
     def H(self) -> np.ndarray:
         """The check_count x n 0/1 parity-check matrix, built on first read."""
         H = np.zeros((self.check_count, self.n), dtype=np.uint8)
-        H.reshape(-1)[self.keys] = 1  # key j * n + i is H's flat index of (j, i)
+        H.T.flat[self.keys] = 1  # key i * check_count + j is H^T's flat index of (i, j)
         H.setflags(write=False)
         return H
 
@@ -107,14 +91,21 @@ class LinearCode:
         return basis
 
     @functools.cached_property
-    def _incidence(self) -> _Incidence:
-        checks, bits = np.divmod(self.keys, self.n)
+    def _incidence(self) -> tuple[np.ndarray, ...]:
+        """The ones of H as six flat int64 arrays, in this order: bits and
+        checks, the bit and check of each one in the keys' bit-major order;
+        check_bits and check_start, check j holding the ascending bits
+        check_bits[check_start[j] : check_start[j + 1]] (one stable argsort
+        of checks); bit_start, bit i lying in the ascending checks
+        checks[bit_start[i] : bit_start[i + 1]]; and col_weight, the weight
+        of each bit.  The decoder reads four of them in place."""
+        bits, checks = np.divmod(self.keys, self.check_count)
         col_weight = np.bincount(bits, minlength=self.n)
-        return _Incidence(
-            checks,
+        return (
             bits,
+            checks,
+            bits[np.argsort(checks, kind="stable")],
             np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=self.check_count)))),
-            checks[np.argsort(bits, kind="stable")],
             np.concatenate(([0], np.cumsum(col_weight))),
             col_weight,
         )
@@ -122,19 +113,22 @@ class LinearCode:
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
     """The code of the factor graph, bits = X and checks = Y, gated by the
-    dense limit on H's cells: the elimination holds rows x cols bits."""
+    dense limit on H's cells: the elimination holds rows x cols bits.  The
+    code's keys are the graph's keys themselves, neither copied nor sorted."""
     check_dense(g.n2, g.n1, "parity-check matrix")
-    return LinearCode(g.n1, g.n2, g._transposed_keys())
+    return LinearCode(g.n1, g.n2, g.keys)
 
 
 def _gf2_echelon(keys: np.ndarray, rows: int, cols: int) -> tuple[int, ...]:
-    """Forward GF(2) elimination of the matrix with ones at the keys: each
-    row, packed and read as a Python int whose leading bit is its leftmost
-    column, is inserted into a table indexed by leading bit, XOR-ing with
-    the stored row until its leading bit is new.  Entry b of the result is
-    the row whose leading bit is b, or 0, so the rank is the number of
-    nonzero entries."""
-    packed = _pack_keys(keys, rows, cols)
+    """Forward GF(2) elimination of the rows x cols matrix with ones at the
+    code keys c * rows + r: the rows are packed from the keys transposed in
+    their own order (_pack_keys takes any order), and each, read as a
+    Python int whose leading bit is its leftmost column, is inserted into a
+    table indexed by leading bit, XOR-ing with the stored row until its
+    leading bit is new.  Entry b of the result is the row whose leading bit
+    is b, or 0, so the rank is the number of nonzero entries."""
+    col, row = np.divmod(keys, rows)
+    packed = _pack_keys(row * cols + col, rows, cols)
     table: list[int] = [0] * (64 * packed.shape[1])
     for x in map(int.from_bytes, packed, itertools.repeat("big")):
         while x:
@@ -199,17 +193,16 @@ def _span(rows: np.ndarray) -> np.ndarray:
 def _small_distance(code: LinearCode) -> int | None:
     """The minimum distance of the code when it is at most 4, else None.
 
-    Each column of H is packed from the keys seen bit-major and read as a
-    Python int, little-endian so the word padding adds no high bits (bit
-    order does not matter here), and equal columns give equal ints.  A zero
-    column is a codeword of weight 1 and a repeated column one of weight 2.
-    With neither present, a pair XOR equal to some column is a weight-3
-    word (the three columns differ), and two pairs with equal XORs are
-    disjoint, a weight-4 word.  None therefore certifies a distance of at
-    least 5.
+    Each column of H is packed from the keys as they are, bit-major, and
+    read as a Python int, little-endian so the word padding adds no high
+    bits (bit order does not matter here), and equal columns give equal
+    ints.  A zero column is a codeword of weight 1 and a repeated column one
+    of weight 2.  With neither present, a pair XOR equal to some column is
+    a weight-3 word (the three columns differ), and two pairs with equal
+    XORs are disjoint, a weight-4 word.  None therefore certifies a
+    distance of at least 5.
     """
-    checks, bits = np.divmod(code.keys, code.n)
-    packed = _pack_keys(bits * code.check_count + checks, code.n, code.check_count)
+    packed = _pack_keys(code.keys, code.n, code.check_count)
     columns = list(map(int.from_bytes, packed, itertools.repeat("little")))
     if 0 in columns:
         return 1
@@ -316,13 +309,13 @@ def bit_flip_decode(
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = (word & 1).astype(np.uint8)  # mod 2 before narrowing: 256 reads as 0, -1 as 1
     rows, n = code.check_count, code.n
-    checks, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
+    bits, checks, check_bits, check_start, bit_start, col_weight = code._incidence
     odd = (np.bincount(checks[word.view(bool)[bits]], minlength=rows) & 1).astype(bool)
     unsatisfied = int(np.count_nonzero(odd))
     if not unsatisfied:
         return word, "decoded"
     margins = 2 * np.bincount(bits[odd[checks]], minlength=n) - col_weight
-    check_bits, check_start, bit_checks, bit_start = map(memoryview, (bits, check_start, bit_checks, bit_start))
+    check_bits, check_start, bit_checks, bit_start = map(memoryview, (check_bits, check_start, checks, bit_start))
     top = int(col_weight.max())  # no margin exceeds its bit's weight
     syndrome, margin = bytearray(odd), margins.tolist()
     heaps: list[list[int]] = [[] for _ in range(top + 1)]
@@ -465,9 +458,10 @@ def write_pchk(code: LinearCode) -> str:
 
     One byte buffer is filled straight from the keys, without H: the
     header, then ASCII '0' rows of n bytes, each ended by a newline, where
-    key j * n + i sets byte j * (n + 1) + i of the rows to '1' (the flat
-    index of cell (j, i) of the rows without their newlines).  The buffer
-    is decoded to the returned str with no intermediate bytes copy.
+    key i * check_count + j sets byte j * (n + 1) + i of the rows to '1'
+    (the flat index of cell (i, j) of the transposed view of the rows
+    without their newlines).  The buffer is decoded to the returned str
+    with no intermediate bytes copy.
     """
     rows, cols = code.check_count, code.n
     head = f"pchk {rows} {cols}\n".encode("ascii")
@@ -475,22 +469,22 @@ def write_pchk(code: LinearCode) -> str:
     buf[: len(head)] = np.frombuffer(head, dtype=np.uint8)
     lines = buf[len(head) :].reshape(rows, cols + 1)
     lines[:, cols] = ord("\n")
-    lines[:, :cols].flat[code.keys] = ord("1")  # in place, with no index array
+    lines[:, :cols].T.flat[code.keys] = ord("1")  # in place, with no index array
     return str(buf, "ascii")
 
 
 def write_alist(code: LinearCode) -> str:
     """Sparse alist serialization (columns first, 1-based indices, unpadded)."""
     rows, cols = code.check_count, code.n
-    _, bits, check_start, bit_checks, bit_start, col_weight = code._incidence
+    _, checks, check_bits, check_start, bit_start, col_weight = code._incidence
     row_weight = np.diff(check_start)
     out = [
         f"{cols} {rows}",
         f"{col_weight.max(initial=0)} {row_weight.max(initial=0)}",
         " ".join(map(str, col_weight.tolist())),
         " ".join(map(str, row_weight.tolist())),
-        *_index_lines(bit_checks, bit_start),
-        *_index_lines(bits, check_start),
+        *_index_lines(checks, bit_start),
+        *_index_lines(check_bits, check_start),
     ]
     return "\n".join(out) + "\n"
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import build, complete_bipartite
+from bipspec.bigraph import BipartiteGraph, build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
     N2RuleDiagnostic,
@@ -33,9 +33,10 @@ from edge_views import edge_pairs
 
 def _gf2_rref(H: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The nonzero RREF rows the basis is read from, with their pivot
-    columns: the forward elimination on H's keys, then back-substitution."""
+    columns: the forward elimination on the code keys (H^T's flat indices
+    of its ones), then back-substitution."""
     rows, cols = H.shape
-    return _gf2_back_substitute(_gf2_echelon(np.flatnonzero(H), rows, cols), cols)
+    return _gf2_back_substitute(_gf2_echelon(np.flatnonzero(H.T), rows, cols), cols)
 
 
 def _brute_codeword_count(H: np.ndarray) -> int:
@@ -947,9 +948,45 @@ def test_alist_writer_matches_per_column_writer(data):
 
 
 def test_parity_check_matrix_is_the_transposed_biadjacency():
+    # the code of the graph and the code of its matrix are one code: the same
+    # keys, and every form derived from them alike
     rng = random.Random(5)
     for n1, n2, p in ((1, 1, 0.0), (3, 5, 0.5), (17, 9, 0.2), (64, 40, 0.1)):
         g = build(n1, n2, [(u, v) for u in range(n1) for v in range(n2) if rng.random() < p])
-        H = parity_check_from_graph(g).H
-        assert H.dtype == np.uint8 and H.flags.c_contiguous
-        assert np.array_equal(H, g.biadjacency().T)
+        code, fresh = parity_check_from_graph(g), LinearCode.from_matrix(g.biadjacency().T)
+        assert np.array_equal(code.keys, fresh.keys) and code.rank == fresh.rank
+        for H in (code.H, fresh.H):
+            assert H.dtype == np.uint8 and H.flags.c_contiguous and not H.flags.writeable
+            assert np.array_equal(H, g.biadjacency().T)
+        assert all(np.array_equal(a, b) for a, b in zip(code._incidence, fresh._incidence, strict=True))
+        assert write_pchk(code) == write_pchk(fresh) and write_alist(code) == write_alist(fresh)
+        if code.dimension <= 20:
+            assert min_distance(code) == min_distance(fresh)
+
+
+def test_a_code_from_a_graph_transposes_no_key(monkeypatch):
+    # the code's keys are the graph's own edge keys, and neither the code nor
+    # its rank, distance, writers or decoder reads the keys seen from the right
+    rng = random.Random(21)
+    g = build(1200, 600, [(bit, check) for bit in range(1200) for check in rng.sample(range(600), 3)])
+    bch = build(15, 8, [(r + i, r) for r in range(8) for i in (0, 1, 3, 7)])  # [15, 7, 5]
+    word = np.zeros(1200, dtype=np.uint8)
+    word[rng.sample(range(1200), 12)] = 1
+    calls = []
+    transposed = BipartiteGraph._transposed_keys
+
+    def counted(self):
+        calls.append(self)
+        return transposed(self)
+
+    monkeypatch.setattr(BipartiteGraph, "_transposed_keys", counted)
+    code = parity_check_from_graph(g)
+    assert np.shares_memory(code.keys, g.keys)
+    assert code.rank <= 600
+    assert min_distance(parity_check_from_graph(bch)) == 5
+    write_pchk(code)
+    write_alist(code)
+    bit_flip_decode(code, word, 1200)
+    assert calls == []
+    g._transposed_keys()
+    assert len(calls) == 1  # the counter is in place
