@@ -16,15 +16,20 @@ symmetric_eigenvalues picks the matrix G from M's data:
   transposed so the shorter side gives the columns.  The spectrum is
   +-sigma_j(B) plus |n1 - n2| zeros, with eigenvectors (u_j, +-v_j)/sqrt(2)
   for u_j = w_j/sigma_j and v_j = G^T u_j/sigma_j.
-- Otherwise G is M shifted by its Gershgorin lower bound, which is positive
-  semidefinite, so its singular values are its eigenvalues and w_j/sigma_j
-  its eigenvectors (the shift is 0 for Laplacians).
+- Otherwise M is shifted by its Gershgorin lower bound to a positive
+  semidefinite matrix, whose singular values are its eigenvalues (the
+  shift is 0 for Laplacians).  That matrix is permuted symmetrically to
+  put its columns in decreasing norm, and G is R^T for the permuted
+  matrix's Householder QR, which converges in about a quarter fewer sweeps
+  (Drmac and Veselic 2008).  The eigenvectors are w_j/sigma_j with their
+  rows permuted back.
 
 Every returned spectrum carries a residual certified against the full
 matrix, at most 1e-8 relative to max(1, ||M||_F), by one certificate on
 both routes: eigenpair residuals for the eigenvectors recovered from W, and
 a collective bound for the eigenvalues too small to recover them.  No
-LAPACK-style solver is used on this path.
+LAPACK-style solver is used on this path, and the QR and the rotations
+use einsum and ufuncs only, never a BLAS matrix product.
 
 Quotient matrices of the bipartition are 2x2 with closed-form eigenvalues;
 the lifted n x n counterparts are materialized explicitly and verified
@@ -251,31 +256,69 @@ def _bipartite_spectrum(A: np.ndarray, p: int) -> tuple[np.ndarray, float, int]:
     return vals, _certificate(A, X, pair_vals, float(sigma[r:].max(initial=0.0))), sweeps
 
 
+def _householder_r(R: np.ndarray) -> np.ndarray:
+    """Overwrite the square R with the R of its Householder QR and return it.
+
+    Q is never formed.  Column k is reflected onto -copysign(||x||, x_0) e_0,
+    where x is its part on and below the diagonal; a zero x is skipped.
+    Only einsum and ufuncs are used, so no BLAS kernel decides a bit of R.
+    """
+    n = R.shape[0]
+    for k in range(n - 1):
+        x = R[k:, k]
+        norm = math.sqrt(float(np.einsum("i,i->", x, x)))
+        if norm == 0.0:
+            continue
+        alpha = -math.copysign(norm, x[0])
+        v = x.copy()
+        v[0] -= alpha
+        # v.v = 2 norm (norm + |x_0|), so I - v v^T / (norm (norm + |x_0|))
+        beta = 1.0 / (norm * (norm + abs(x[0])))
+        w = np.einsum("i,ij->j", v, R[k:, k + 1 :]) * beta
+        R[k:, k + 1 :] -= np.multiply.outer(v, w)
+        R[k, k] = alpha
+        R[k + 1 :, k] = 0.0
+    return R
+
+
 def _shifted_spectrum(A: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Spectrum of a general symmetric A, made PSD by a Gershgorin shift.
 
     G = A - s I with s the Gershgorin lower bound is positive semidefinite,
-    so its singular values sigma_j are its eigenvalues, w_j/sigma_j its
-    eigenvectors, and the eigenvalues of A are sigma_j + s.  Returns the
+    so its singular values sigma_j are its eigenvalues, and the eigenvalues
+    of A are sigma_j + s.  G is preconditioned before the kernel runs
+    (Drmac and Veselic 2008): one symmetric permutation P orders its
+    columns by decreasing norm, with the rows permuted alike so each pivot
+    starts on the diagonal, and the kernel rotates the columns of R^T for
+    the Householder QR P^T G P = Q R, which needs about a quarter fewer
+    sweeps than G itself.  From R^T = W V^T, P^T G P = (Q V) diag(sigma)
+    U^T with U = W/sigma, and U holds the eigenvectors of P^T G P, so P U
+    holds G's.  The pivot sign is taken from the diagonal, which a
+    Laplacian and its signless twin S L S (S = diag(+-1), bipartite graph)
+    share bit for bit, so their spectra come out equal.  Returns the
     descending eigenvalues, the certified residual and the sweep count.
-    Each sigma_j above eps^(2/3) ||G||_F is certified through w_j/sigma_j,
-    the rest collectively (see _certificate).  The collective term costs
-    about twice the largest sigma_j it covers, so the split must sit well
-    under the 1e-8 gate, which the bipartite route's sqrt(eps) ~ 1.5e-8 does
-    not; w_j/sigma_j stays accurate far below it.  The rotation floor keeps
-    the certified vectors orthogonal to (eps ||G||_F / split)^2 = eps^(2/3).
+    Each sigma_j above eps^(2/3) ||G||_F is certified against G through its
+    column of P U, the rest collectively (see _certificate).  The
+    collective term costs about twice the largest sigma_j it covers, so the
+    split must sit well under the 1e-8 gate, which the bipartite route's
+    sqrt(eps) ~ 1.5e-8 does not; w_j/sigma_j stays accurate far below it.
+    The rotation floor keeps the certified vectors orthogonal to
+    (eps ||G||_F / split)^2 = eps^(2/3).
     """
     diag = np.diag(A)
     shift = float(np.min(diag - (np.abs(A).sum(axis=1) - np.abs(diag))))
     G = A - shift * np.eye(A.shape[0])
-    Wt, sweeps = _one_sided_jacobi(G)
+    perm = np.argsort(-np.einsum("ij,ij->j", G, G), kind="stable")
+    R = _householder_r(G[np.ix_(perm, perm)])
+    Wt, sweeps = _one_sided_jacobi(R.T)
     sigma = np.linalg.norm(Wt, axis=1)
     order = np.argsort(-sigma, kind="stable")
     sigma, Wt = sigma[order], Wt[order]
 
     big = sigma > np.finfo(float).eps ** (2 / 3) * float(np.linalg.norm(G, "fro"))
     r = int(big.sum())
-    X = (Wt[:r] / sigma[:r, None]).T
+    X = np.empty((len(perm), r))
+    X[perm] = (Wt[:r] / sigma[:r, None]).T
     residual = _certificate(G, X, sigma[:r], float(sigma[r:].max(initial=0.0)))
     return sigma + shift, residual, sweeps
 

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipspec import spectra
 from bipspec.bigraph import build, complete_bipartite, path_graph, random_tree, write_edge_list
@@ -401,6 +403,78 @@ def test_certificate_eigenvalue_at_the_split(split, side):
     ratio = mu2 / (scale * np.linalg.norm(L, "fro"))
     assert ratio == pytest.approx(side, rel=0.02)
     _assert_certified(SymmetricMatrix(L))
+
+
+# ------------------------------------ norm-ordered QR before the shifted route
+
+
+def test_qr_preconditioning_cuts_the_sweeps_on_a_tree():
+    # 16 sweeps on the Laplacian itself
+    rep = symmetric_eigenvalues(laplacian_matrix(random_tree(200, "balanced", 7)))
+    assert rep.iterations <= 12
+
+
+def _random_bipartite(n: int, p: float, seed: int):
+    rng = random.Random(seed)
+    n1 = n // 2
+    return build(n1, n - n1, {(u, v) for u in range(n1) for v in range(n - n1) if rng.random() < p})
+
+
+@pytest.mark.parametrize("n", [60, 120, 200])
+def test_laplacian_certified_at_desk_sizes(n):
+    for g in (random_tree(n, "balanced", n), random_tree(n, "unbalanced", n), _random_bipartite(n, 0.2, n)):
+        _assert_certified(laplacian_matrix(g))
+
+
+@st.composite
+def _block_graphs(draw):
+    """Up to three blocks side by side, each with its own edges drawn, and up
+    to two isolated vertices on each side: several components and isolated
+    vertices (an empty block is isolated vertices too) are drawn often."""
+    n1 = n2 = 0
+    edges = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        pairs = [(n1 + u, n2 + v) for u in range(a) for v in range(b)]
+        edges += draw(st.lists(st.sampled_from(pairs), unique=True))
+        n1, n2 = n1 + a, n2 + b
+    return build(n1 + draw(st.integers(0, 2)), n2 + draw(st.integers(0, 2)), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_graphs())
+def test_laplacian_and_signless_laplacian_spectra_are_bit_identical(g):
+    # Q = S L S with S = diag(+-1): the same spectrum, and the solve keeps
+    # it to the last bit only while each pivot sign comes from the diagonal
+    lap = symmetric_eigenvalues(laplacian_matrix(g))
+    signless = symmetric_eigenvalues(signless_laplacian_matrix(g))
+    assert lap.eigenvalues == signless.eigenvalues
+
+
+def test_householder_skips_zero_columns():
+    # left vertices 3, 4 and right vertex 2 are isolated: their zero columns
+    # come last in the norm order, and the reflectors of the first two of
+    # them are skipped
+    g = build(5, 3, [(0, 0), (1, 0), (1, 1), (2, 1)])
+    G = laplacian_matrix(g).data
+    perm = np.argsort(-np.einsum("ij,ij->j", G, G), kind="stable")
+    A = G[np.ix_(perm, perm)]
+    R = spectra._householder_r(A.copy())
+    assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
+    assert not R[-3:].any()
+    assert np.allclose(R.T @ R, A.T @ A, atol=1e-12)
+    for builder in (laplacian_matrix, signless_laplacian_matrix):
+        _assert_certified(builder(g))
+
+
+def test_k11_and_a_shifted_custom_matrix_certified():
+    # K_{1,1} takes one reflector; the custom matrix's Gershgorin shift is -6.5
+    A = np.array([[4.0, 1.0, -2.0, 0.0], [1.0, -3.0, 0.5, 2.0], [-2.0, 0.5, 1.0, -1.0], [0.0, 2.0, -1.0, 0.25]])
+    diag = np.diag(A)
+    assert np.min(diag - (np.abs(A).sum(axis=1) - np.abs(diag))) == -6.5
+    k11 = complete_bipartite(1, 1)
+    for M in (laplacian_matrix(k11), signless_laplacian_matrix(k11), SymmetricMatrix(A)):
+        _assert_certified(M)
 
 
 def test_eigenvalue_clusters():
