@@ -4,9 +4,10 @@ One eigen-kernel serves every spectrum: one-sided (Hestenes) Jacobi, which
 rotates pairs of columns of a matrix G until they are orthogonal, W = G V.
 Only W is kept: V is never formed, and the eigenvectors are recovered from
 W after convergence (Drmac and Veselic 2008).  The column pairs are visited
-in the round-robin parallel ordering of Brent and Luk (1985); each step's
-disjoint rotations are applied as one gather and one scatter of rows of
-W^T.  A pair is left alone once |w_p . w_q| <= sqrt(rows) eps ||w_p||
+in the round-robin parallel ordering of Brent and Luk (1985); each step
+gathers its rows of W^T as one (2, h, rows) block, takes the Gram entries
+in one einsum and all the rotations in another, and scatters them back.
+A pair is left alone once |w_p . w_q| <= sqrt(rows) eps ||w_p||
 ||w_q|| or <= (eps ||G||_F)^2, and sweeps stop when none rotates (at most
 100).  Demmel and Veselic (1992) analyse the accuracy of the method.
 symmetric_eigenvalues picks the matrix G from M's data:
@@ -28,8 +29,8 @@ Every returned spectrum carries a residual certified against the full
 matrix, at most 1e-8 relative to max(1, ||M||_F), by one certificate on
 both routes: eigenpair residuals for the eigenvectors recovered from W, and
 a collective bound for the eigenvalues too small to recover them.  No
-LAPACK-style solver is used on this path, and the QR and the rotations
-use einsum and ufuncs only, never a BLAS matrix product.
+LAPACK-style solver is used on this path; the QR, the rotations and the
+||G||_F that sets the floor and the splits use einsum and ufuncs only.
 
 Quotient matrices of the bipartition are 2x2 with closed-form eigenvalues;
 the lifted n x n counterparts are materialized explicitly and verified
@@ -159,37 +160,36 @@ def _one_sided_jacobi(G: np.ndarray) -> tuple[np.ndarray, int]:
     A pair is rotated while |w_p . w_q| exceeds both sqrt(m) eps ||w_p||
     ||w_q|| (m rows) and the absolute floor (eps ||G||_F)^2; the floor stops
     the sweeps on rank-deficient G, whose null columns never become
-    relatively orthogonal.  Each step gathers its rows once, takes the
-    squared norms of both halves from one product and the cross products
-    from another, and writes both rotated halves back in one scatter.
+    relatively orthogonal; ||G||_F is summed by einsum, not BLAS.  Each
+    step gathers its rows as a (2, h, m) block, p over q; one einsum gives
+    every pair's a, c and b, one more applies every rotation, each entry
+    summed as the separate row products summed it (no fused multiply-add).
     """
     m, k = G.shape
     Y = G.T.copy()
     eps = np.finfo(float).eps
     tol = math.sqrt(m) * eps
-    floor = (eps * float(np.linalg.norm(G, "fro"))) ** 2
+    floor = (eps * math.sqrt(float(np.einsum("ij,ij->", G, G)))) ** 2
     steps = _round_robin(k)
     for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
         rotated = False
         for pq, h in steps:
-            Z = Y[pq]
-            norms = np.einsum("ij,ij->i", Z, Z)
-            Zp, Zq, a, b = Z[:h], Z[h:], norms[:h], norms[h:]
-            c = np.einsum("ij,ij->i", Zp, Zq)
+            Z = Y[pq].reshape(2, h, m)
+            gram = np.einsum("aij,bij->abi", Z, Z)
+            a, b, c = gram[0, 0], gram[1, 1], gram[0, 1]
             rot = np.abs(c) > np.maximum(tol * np.sqrt(a * b), floor)
             count = np.count_nonzero(rot)
             if count == 0:
                 continue
             if count < h:
                 pq = pq[np.concatenate((rot, rot))]
-                Zp, Zq, a, b, c = Zp[rot], Zq[rot], a[rot], b[rot], c[rot]
+                Z, a, b, c = Z[:, rot], a[rot], b[rot], c[rot]
             rotated = True
             zeta = (b - a) / (2.0 * c)
             t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
             cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = (cs * t)[:, None]
-            cs = cs[:, None]
-            Y[pq] = np.concatenate((cs * Zp - sn * Zq, sn * Zp + cs * Zq))
+            sn = cs * t
+            Y[pq] = np.einsum("abh,bhm->ahm", np.array(((cs, -sn), (sn, cs))), Z).reshape(-1, m)
         if not rotated:
             return Y, sweep
     raise ConvergenceError(f"one-sided Jacobi still rotating after {JACOBI_MAX_SWEEPS} sweeps")
@@ -242,7 +242,7 @@ def _bipartite_spectrum(A: np.ndarray, p: int) -> tuple[np.ndarray, float, int]:
     # + 0.0 turns the -0.0 of an exact zero singular value into 0.0
     vals = np.concatenate((sigma, np.zeros(n - 2 * k), -sigma[::-1])) + 0.0
 
-    big = sigma > math.sqrt(np.finfo(float).eps) * float(np.linalg.norm(G, "fro"))
+    big = sigma > math.sqrt(np.finfo(float).eps) * math.sqrt(float(np.einsum("ij,ij->", G, G)))
     r = int(big.sum())
     U = Wt[:r] / sigma[:r, None]
     V = (U @ G) / sigma[:r, None]
@@ -315,7 +315,7 @@ def _shifted_spectrum(A: np.ndarray) -> tuple[np.ndarray, float, int]:
     order = np.argsort(-sigma, kind="stable")
     sigma, Wt = sigma[order], Wt[order]
 
-    big = sigma > np.finfo(float).eps ** (2 / 3) * float(np.linalg.norm(G, "fro"))
+    big = sigma > np.finfo(float).eps ** (2 / 3) * math.sqrt(float(np.einsum("ij,ij->", G, G)))
     r = int(big.sum())
     X = np.empty((len(perm), r))
     X[perm] = (Wt[:r] / sigma[:r, None]).T

@@ -324,6 +324,50 @@ def test_kernel_matches_v_accumulating_oracle_on_w():
         assert np.allclose(G @ oracle_Vt.T, oracle_Wt.T)
 
 
+@st.composite
+def _kernel_inputs(draw):
+    """1-24 rows and 1-24 columns of entries -4..4 times 0.75, each column
+    fresh, zero or a repeat of an earlier one: a zero column's pairs stay
+    idle while the others rotate, so steps rotate only some of their pairs."""
+    m = draw(st.integers(1, 24))
+    columns: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat")))
+        if kind == "zero":
+            columns.append([0] * m)
+        elif kind == "repeat" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append(draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+    return np.array(columns, dtype=float).T * 0.75
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_inputs())
+def test_kernel_matches_v_accumulating_oracle_on_drawn_matrices(G):
+    Wt, sweeps = spectra._one_sided_jacobi(G)
+    oracle_Wt, _, oracle_sweeps = _oracle_jacobi(G)
+    assert sweeps == oracle_sweeps
+    assert np.array_equal(Wt, oracle_Wt)
+
+
+def test_kernel_takes_no_blas_norm(monkeypatch):
+    # ||G||_F sets the rotation floor, so it is summed by einsum: BLAS's
+    # ddot may sum in another order and move the floor by an ulp
+    G = np.random.default_rng(3).integers(-4, 5, size=(14, 11)).astype(float)
+    G[:, 4] = 0.0
+    G[:, 7] = G[:, 2]
+    oracle_Wt, _, oracle_sweeps = _oracle_jacobi(G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    Wt, sweeps = spectra._one_sided_jacobi(G)
+    assert sweeps == oracle_sweeps
+    assert np.array_equal(Wt, oracle_Wt)
+
+
 def test_kernel_never_mutates_the_cached_steps():
     before = [pq.copy() for pq, _ in spectra._round_robin(9)]
     spectra._one_sided_jacobi(np.random.default_rng(1).normal(size=(12, 9)))
