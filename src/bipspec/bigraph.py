@@ -5,12 +5,13 @@ vertices 0..n2-1.  Edges are (left, right) pairs.  A graph is its sides and
 one array, the ascending int64 edge keys u * n2 + v; `build` is the one
 checked constructor from pairs.  The readers, `build`, `complete_bipartite`
 and `vsplit.vertex_split` make the keys in bulk, and the edge count,
-degrees, the biadjacency matrix, the writer's text, the neighbour tuples of
-the connectivity walks and the bit rows of the expansion search and the
-GF(2) elimination (`_pack_keys`) are derived from them with numpy, without
-a Python loop over the edges: `gen --complete 1000 1000` takes 0.4-0.5 s,
-where a frozenset of pairs per graph took 1.5-1.9 s (Python 3.11, Intel
-Xeon).
+degrees, the biadjacency matrix, the writer's text and the bit rows of the
+expansion search and the GF(2) elimination (`_pack_keys`) are derived from
+them with numpy, without a Python loop over the edges: `gen --complete 1000
+1000` takes 0.4-0.5 s, where a frozenset of pairs per graph took 1.5-1.9 s
+(Python 3.11, Intel Xeon).  `_incidence` is the one grouping of keys by
+vertex, each side's lists ascending: the connectivity walks' neighbour
+tuples, the vertex split and a code's incidence lists all cut its arrays.
 
 Graphs are immutable after construction.  Each graph derives its degree
 profile and its hash on the first read and keeps them; otherwise every
@@ -107,11 +108,6 @@ class BipartiteGraph:
     def m(self) -> int:
         return self.keys.size
 
-    def _transposed_keys(self) -> np.ndarray:
-        """The keys v * n1 + u of the edges seen from the right, ascending."""
-        left, right = np.divmod(self.keys, self.n2)
-        return np.sort(right * self.n1 + left)
-
     def biadjacency(self) -> np.ndarray:
         """The n1 x n2 0/1 matrix B with B[u, v] = 1 exactly for edge (u, v)."""
         check_dense(self.n1, self.n2, "biadjacency matrix")
@@ -140,12 +136,15 @@ class BipartiteGraph:
         return _reaches_all(_vertex_adjacency(self))
 
 
-def _group(keys: np.ndarray, rows: int, cols: int, shift: int = 0) -> list[tuple[int, ...]]:
-    """Ascending keys r * cols + c cut into one tuple per row r of its
-    entries c + shift, ascending: the one place edges are grouped by vertex."""
+def _incidence(keys: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, ...]:
+    """The ascending keys r * cols + c grouped by vertex, as five flat int64
+    arrays: row and col, the ends of each key in key order (so each row's
+    cols ascend); row_degree and col_degree; and by_col, every key's row
+    listed column by column, each column's rows ascending.  The one place
+    edge keys are grouped by vertex."""
     row, col = np.divmod(keys, cols)
-    flat = iter((col + shift).tolist())
-    return [tuple(islice(flat, c)) for c in np.bincount(row, minlength=rows).tolist()]
+    by_col = np.sort(col * rows + row) % rows
+    return row, col, np.bincount(row, minlength=rows), np.bincount(col, minlength=cols), by_col
 
 
 def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -165,7 +164,9 @@ def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _vertex_adjacency(g: BipartiteGraph) -> list[tuple[int, ...]]:
     """Neighbor tuples over the whole vertex set: left vertex u is u, right
     vertex v is n1 + v."""
-    return _group(g.keys, g.n1, g.n2, g.n1) + _group(g._transposed_keys(), g.n2, g.n1)
+    _, right, left_degree, right_degree, by_right = _incidence(g.keys, g.n1, g.n2)
+    flat = chain((right + g.n1).tolist(), by_right.tolist())
+    return [tuple(islice(flat, d)) for d in left_degree.tolist() + right_degree.tolist()]
 
 
 def _reaches_all(adj: list[tuple[int, ...]]) -> bool:

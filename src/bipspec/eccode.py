@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bigraph import MAX_SIDE, BipartiteGraph, _pack_keys, check_dense, complete_bipartite
+from .bigraph import MAX_SIDE, BipartiteGraph, _incidence, _pack_keys, check_dense, complete_bipartite
 from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
 from .vsplit import vertex_split
 
@@ -37,8 +37,9 @@ class LinearCode:
     their input).  The forward elimination runs on the keys on
     construction, and its echelon rows are kept: rank, dimension = n - rank,
     rate = dimension / n.  basis (one codeword per row, by back-substitution
-    on the kept rows), the incidence lists and the read-only H are derived
-    from the keys on first read, each once.
+    on the kept rows), the incidence lists (grouped by bit and by check in
+    `bigraph._incidence`, as a graph's edges are) and the read-only H are
+    derived from the keys on first read, each once.
     The decoder and the alist writer read the incidence lists and the pchk
     writer reads the keys, so H is built only when H itself is read.
     """
@@ -92,23 +93,17 @@ class LinearCode:
 
     @functools.cached_property
     def _incidence(self) -> tuple[np.ndarray, ...]:
-        """The ones of H as six flat int64 arrays, in this order: bits and
-        checks, the bit and check of each one in the keys' bit-major order;
-        check_bits and check_start, check j holding the ascending bits
-        check_bits[check_start[j] : check_start[j + 1]] (one stable argsort
-        of checks); bit_start, bit i lying in the ascending checks
-        checks[bit_start[i] : bit_start[i + 1]]; and col_weight, the weight
-        of each bit.  The decoder reads four of them in place."""
-        bits, checks = np.divmod(self.keys, self.check_count)
-        col_weight = np.bincount(bits, minlength=self.n)
-        return (
-            bits,
-            checks,
-            bits[np.argsort(checks, kind="stable")],
-            np.concatenate(([0], np.cumsum(np.bincount(checks, minlength=self.check_count)))),
-            np.concatenate(([0], np.cumsum(col_weight))),
-            col_weight,
-        )
+        """The ones of H grouped by bit and by check, as seven flat int64
+        arrays: the five of `bigraph._incidence` on the keys (bits and
+        checks, the bit and check of each one in key order; col_weight and
+        row_weight; check_bits, the bits listed check by check), then the
+        starts that cut them, bit_start and check_start: bit i lies in the
+        ascending checks checks[bit_start[i] : bit_start[i + 1]], and check
+        j holds the ascending bits check_bits[check_start[j] :
+        check_start[j + 1]].  The decoder reads four of them in place."""
+        bits, checks, col_weight, row_weight, check_bits = _incidence(self.keys, self.n, self.check_count)
+        bit_start, check_start = (np.concatenate(([0], np.cumsum(w))) for w in (col_weight, row_weight))
+        return bits, checks, col_weight, row_weight, check_bits, bit_start, check_start
 
 
 def parity_check_from_graph(g: BipartiteGraph) -> LinearCode:
@@ -309,7 +304,7 @@ def bit_flip_decode(
         raise ValueError(f"received word must have length {code.n}, got shape {word.shape}")
     word = (word & 1).astype(np.uint8)  # mod 2 before narrowing: 256 reads as 0, -1 as 1
     rows, n = code.check_count, code.n
-    bits, checks, check_bits, check_start, bit_start, col_weight = code._incidence
+    bits, checks, col_weight, _, check_bits, bit_start, check_start = code._incidence
     odd = (np.bincount(checks[word.view(bool)[bits]], minlength=rows) & 1).astype(bool)
     unsatisfied = int(np.count_nonzero(odd))
     if not unsatisfied:
@@ -476,8 +471,7 @@ def write_pchk(code: LinearCode) -> str:
 def write_alist(code: LinearCode) -> str:
     """Sparse alist serialization (columns first, 1-based indices, unpadded)."""
     rows, cols = code.check_count, code.n
-    _, checks, check_bits, check_start, bit_start, col_weight = code._incidence
-    row_weight = np.diff(check_start)
+    _, checks, col_weight, row_weight, check_bits, bit_start, check_start = code._incidence
     out = [
         f"{cols} {rows}",
         f"{col_weight.max(initial=0)} {row_weight.max(initial=0)}",

@@ -196,13 +196,13 @@ def _one_sided_jacobi(G: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _bipartite_split(A: np.ndarray) -> int | None:
-    """First p in 1..n-1 with A[:p, :p] and A[p:, p:] both zero, if any."""
-    for p in range(1, A.shape[0]):
-        if A[:p, :p].any():
-            return None  # the leading block only grows with p
-        if not A[p:, p:].any():
-            return p
-    return None
+    """First p in 1..n-1 with A[:p, :p] and A[p:, p:] both zero, if any.
+
+    The trailing block is zero once p exceeds min(i, j) at every nonzero
+    (i, j), and the leading block while p stays at most max(i, j)."""
+    i, j = np.nonzero(A)
+    p = int(np.minimum(i, j).max(initial=0)) + 1
+    return p if p < A.shape[0] and p <= np.maximum(i, j).min(initial=A.shape[0]) else None
 
 
 def _certificate(M: np.ndarray, X: np.ndarray, vals: np.ndarray, rest: float) -> float:
@@ -392,15 +392,6 @@ def bipartite_quotient(g: BipartiteGraph, flavor: str) -> Quotient2x2:
     return Quotient2x2(m / n1, -m / n1, -m / n2, m / n2, theta1, 0.0, flavor)
 
 
-def _eigvec_2x2(q: np.ndarray, eig: float) -> np.ndarray:
-    v = np.array([q[0, 1], eig - q[0, 0]])
-    if np.linalg.norm(v) == 0.0:
-        v = np.array([eig - q[1, 1], q[1, 0]])
-    if np.linalg.norm(v) == 0.0:
-        v = np.array([1.0, 0.0])
-    return v
-
-
 def lifted_matrix_spectrum(g: BipartiteGraph, flavor: str) -> SpectrumReport:
     """Spectrum of the lifted quotient S B_Q S^T, verified numerically.
 
@@ -417,21 +408,16 @@ def lifted_matrix_spectrum(g: BipartiteGraph, flavor: str) -> SpectrumReport:
     S = np.zeros((n, 2))
     S[:n1, 0] = 1.0 / math.sqrt(n1)
     S[n1:, 1] = 1.0 / math.sqrt(n2)
-    AQ = q.as_array()
-    C = S @ AQ @ S.T
+    C = S @ q.as_array() @ S.T
     norm_c = float(np.linalg.norm(C, "fro"))
 
-    if flavor == "adjacency":
-        claimed = [q.eta1] + [0.0] * (n - 2) + [q.eta2]
-        lifted_pairs = [q.eta1, q.eta2]
-    else:
-        claimed = [q.eta1] + [0.0] * (n - 1)
-        lifted_pairs = [q.eta1, q.eta2]
+    # the Laplacian's eta2 is 0.0, so both flavors claim the same shape
+    claimed = [q.eta1] + [0.0] * (n - 2) + [q.eta2]
 
     residuals = []
-    for eig in lifted_pairs:
-        w = _eigvec_2x2(AQ, eig)
-        v = S @ w
+    for eig in (q.eta1, q.eta2):
+        # the quotient's eigenvector (b12, eig - b11) is nonzero unless m = 0
+        v = S @ (np.array([q.b12, eig - q.b11]) if g.m else np.array([1.0, 0.0]))
         v /= np.linalg.norm(v)
         residuals.append(float(np.linalg.norm(C @ v - eig * v)))
     # ||C (I - S S^T)||_F bounds the residual of every zero eigenpair drawn

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, edge_connectivity
+from .bigraph import BipartiteGraph, _incidence, edge_connectivity
 from .spectra import REPORT_TOL, adjacency_matrix, symmetric_eigenvalues
 
 SPLIT_RULES = ("round-robin", "contiguous", "seeded-random")
@@ -49,8 +49,8 @@ def vertex_split(g: BipartiteGraph, rule: str = "round-robin", seed: int = 0) ->
 
     # every edge listed right vertex by right vertex, each one's neighbours
     # ascending: edge t is the place[t]-th of right[t]'s sorted neighbours
-    right, left = np.divmod(g._transposed_keys(), g.n1)
-    degree = np.bincount(right, minlength=g.n2)
+    _, _, _, degree, left = _incidence(g.keys, g.n1, g.n2)
+    right = np.repeat(np.arange(g.n2), degree)
     start = np.cumsum(degree) - degree
     place = np.arange(g.m) - start[right]
     d = degree[right]

@@ -618,9 +618,17 @@ def _check_edge_keys_against_oracles(case, data) -> None:
     assert neighbors(g, "left") == left and neighbors(g, "right") == right
     # the connectivity walks' neighbour tuples, right vertex v at n1 + v
     assert bigraph._vertex_adjacency(g) == [tuple(n1 + v for v in nb) for nb in left] + list(right)
+    # the one grouping by vertex: both sides' degrees and lists, empty ones too
+    grouped = bigraph._incidence(g.keys, n1, n2)
+    row, col, row_degree, col_degree, by_col = (a.tolist() for a in grouped)
+    assert list(zip(row, col)) == [(u, v) for u, nb in enumerate(left) for v in nb]
+    assert row_degree == [len(nb) for nb in left] and col_degree == [len(nb) for nb in right]
+    assert by_col == [u for nb in right for u in nb]
+    code = parity_check_from_graph(g)
+    assert all(np.array_equal(a, b) for a, b in zip(code._incidence[:5], grouped, strict=True))
     B = _loop_biadjacency(n1, n2, edges)
     assert np.array_equal(g.biadjacency(), B)
-    assert np.array_equal(parity_check_from_graph(g).H, B.T)
+    assert np.array_equal(code.H, B.T)
     text = write_edge_list(g)
     assert text.encode() == _seed_write_edge_list(g).encode()
     # the same pairs in any order are one graph

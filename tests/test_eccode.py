@@ -10,7 +10,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bipspec.bigraph import BipartiteGraph, build, complete_bipartite
+from bipspec import bigraph, eccode
+from bipspec.bigraph import build, complete_bipartite
 from bipspec.eccode import (
     LinearCode,
     N2RuleDiagnostic,
@@ -966,27 +967,30 @@ def test_parity_check_matrix_is_the_transposed_biadjacency():
 
 def test_a_code_from_a_graph_transposes_no_key(monkeypatch):
     # the code's keys are the graph's own edge keys, and neither the code nor
-    # its rank, distance, writers or decoder reads the keys seen from the right
+    # its rank, distance or pchk writer groups them by check; the alist
+    # writer and the decoder share one grouping, kept on the code
     rng = random.Random(21)
     g = build(1200, 600, [(bit, check) for bit in range(1200) for check in rng.sample(range(600), 3)])
     bch = build(15, 8, [(r + i, r) for r in range(8) for i in (0, 1, 3, 7)])  # [15, 7, 5]
     word = np.zeros(1200, dtype=np.uint8)
     word[rng.sample(range(1200), 12)] = 1
     calls = []
-    transposed = BipartiteGraph._transposed_keys
+    grouped = bigraph._incidence
 
-    def counted(self):
-        calls.append(self)
-        return transposed(self)
+    def counted(keys, rows, cols):
+        calls.append(keys)
+        return grouped(keys, rows, cols)
 
-    monkeypatch.setattr(BipartiteGraph, "_transposed_keys", counted)
+    for module in (bigraph, eccode):
+        monkeypatch.setattr(module, "_incidence", counted)
     code = parity_check_from_graph(g)
     assert np.shares_memory(code.keys, g.keys)
     assert code.rank <= 600
     assert min_distance(parity_check_from_graph(bch)) == 5
     write_pchk(code)
+    assert calls == []
     write_alist(code)
     bit_flip_decode(code, word, 1200)
-    assert calls == []
-    g._transposed_keys()
-    assert len(calls) == 1  # the counter is in place
+    assert len(calls) == 1 and calls[0] is code.keys
+    g.is_connected()
+    assert len(calls) == 2  # the graph's walks group through the same counter

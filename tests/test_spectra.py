@@ -393,6 +393,42 @@ def test_eigenvalues_and_sweeps_match_v_accumulating_oracle(monkeypatch):
 # ---------------------------------------------- certificate on the shifted route
 
 
+def _loop_bipartite_split(A: np.ndarray) -> int | None:
+    """The block-by-block split search the solver ran before it read the
+    nonzeros."""
+    for p in range(1, A.shape[0]):
+        if A[:p, :p].any():
+            return None  # the leading block only grows with p
+        if not A[p:, p:].any():
+            return p
+    return None
+
+
+@st.composite
+def _symmetric_01(draw) -> np.ndarray:
+    """A symmetric 0/1 matrix of order 1-8: random, or with both diagonal
+    blocks of a drawn split cleared, then with or without diagonal entries,
+    and with some rows (and their columns) zeroed."""
+    n = draw(st.integers(1, 8))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    A = np.triu(np.array(draw(st.lists(bits, min_size=n, max_size=n)), dtype=float), 1)
+    if draw(st.booleans()):
+        p = draw(st.integers(1, n))
+        A[:p, :p] = A[p:, p:] = 0.0
+    A += A.T
+    if draw(st.booleans()):
+        A[np.diag_indices(n)] = draw(bits)
+    for r in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        A[r, :] = A[:, r] = 0.0
+    return A
+
+
+@settings(max_examples=500, deadline=None)
+@given(_symmetric_01())
+def test_bipartite_split_matches_the_block_loop(A):
+    assert spectra._bipartite_split(A) == _loop_bipartite_split(A)
+
+
 def _assert_certified(M: SymmetricMatrix) -> None:
     rep = symmetric_eigenvalues(M)
     ref = np.linalg.eigvalsh(M.data)[::-1]
@@ -605,6 +641,12 @@ def test_lifted_laplacian_shape():
     assert rep.eigenvalues[0] == pytest.approx(theta1, abs=1e-12)
     assert all(x == 0.0 for x in rep.eigenvalues[1:])
     assert rep.residual <= 1e-8
+
+
+def test_lifted_empty_graph_is_all_zero():
+    for flavor in ("adjacency", "laplacian"):
+        rep = lifted_matrix_spectrum(build(2, 3, []), flavor)
+        assert rep.eigenvalues == (0.0,) * 5 and rep.residual == 0.0
 
 
 # --- interlacing ---
