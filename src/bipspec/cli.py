@@ -156,7 +156,7 @@ def _cmd_spectrum(args) -> int:
     # reads it from the report as iterations
     finding = {
         "type": "spectrum",
-        "kind": report.kind,
+        "kind": args.matrix,
         "eigenvalues": report.eigenvalues,
         "residual": report.residual,
     }

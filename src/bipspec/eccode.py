@@ -20,6 +20,7 @@ import numpy as np
 
 from .bigraph import MAX_SIDE, BipartiteGraph, _incidence, _pack_keys, check_dense, complete_bipartite
 from .expansion import LosslessParams, check_lossless_feasible, lossless_parameters
+from .spectra import REPORT_TOL
 from .vsplit import vertex_split
 
 MAX_ENUM_DIMENSION = 20
@@ -441,7 +442,7 @@ def construct_expander_code(n1: int) -> ExpanderCodePipeline:
     premises = params.exhaustive and params.epsilon < 0.5
     true_distance = min_distance(code) if code.dimension <= MAX_ENUM_DIMENSION else None
     if premises and true_distance is not None:
-        bound_holds: bool | None = true_distance >= lemma - 1e-9
+        bound_holds: bool | None = true_distance >= lemma - REPORT_TOL
     else:
         bound_holds = None
     report = DistanceReport(true_distance, lemma, cor8, premises, bound_holds)

@@ -65,7 +65,6 @@ class SymmetricMatrix:
     """Square real matrix, exactly symmetric by construction."""
 
     data: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self) -> None:
         # a private read-only copy: the caller's array stays writeable, and
@@ -90,22 +89,22 @@ def adjacency_matrix(g: BipartiteGraph) -> SymmetricMatrix:
     A = np.zeros((g.n, g.n))
     A[: g.n1, g.n1 :] = B
     A[g.n1 :, : g.n1] = B.T
-    return SymmetricMatrix(A, "adjacency")
+    return SymmetricMatrix(A)
 
 
 def laplacian_matrix(g: BipartiteGraph) -> SymmetricMatrix:
     A = adjacency_matrix(g).data
     L = np.diag(A.sum(axis=1)) - A
-    return SymmetricMatrix(L, "laplacian")
+    return SymmetricMatrix(L)
 
 
 def signless_laplacian_matrix(g: BipartiteGraph) -> SymmetricMatrix:
     A = adjacency_matrix(g).data
     Q = np.diag(A.sum(axis=1)) + A
-    return SymmetricMatrix(Q, "signless-laplacian")
+    return SymmetricMatrix(Q)
 
 
-# each matrix kind of a graph, by the name its SymmetricMatrix carries
+# each matrix kind of a graph, by its name; `spectrum --matrix` takes the name
 MATRIX_BUILDERS = {
     "adjacency": adjacency_matrix,
     "laplacian": laplacian_matrix,
@@ -124,7 +123,6 @@ class SpectrumReport:
     """
 
     eigenvalues: tuple[float, ...]
-    kind: str
     residual: float
     iterations: int
 
@@ -342,7 +340,7 @@ def symmetric_eigenvalues(M: SymmetricMatrix) -> SpectrumReport:
     residual /= max(1.0, float(np.linalg.norm(A, "fro")))
     if residual > RESIDUAL_GATE:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-8 gate")
-    return SpectrumReport(tuple(float(x) for x in vals), M.kind, residual, sweeps)
+    return SpectrumReport(tuple(float(x) for x in vals), residual, sweeps)
 
 
 def eigenvalue_clusters(eigenvalues) -> list[tuple[float, int]]:
@@ -427,7 +425,7 @@ def lifted_matrix_spectrum(g: BipartiteGraph, flavor: str) -> SpectrumReport:
     residual = max(residuals) / max(1.0, norm_c)
     if residual > RESIDUAL_GATE:
         raise ConvergenceError(f"lifted spectrum residual {residual:.3e} exceeds gate")
-    return SpectrumReport(tuple(claimed), "lifted", residual, 0)
+    return SpectrumReport(tuple(claimed), residual, 0)
 
 
 @dataclass(frozen=True)

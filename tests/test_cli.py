@@ -7,6 +7,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -46,16 +47,38 @@ def test_gen_tree_deterministic(tmp_path):
     assert (g.n1, g.n2, g.m) == (5, 5, 9)
 
 
+def test_package_root_holds_only_version():
+    # names are imported from their modules: the root binds __version__
+    # alone and loads no submodule and no numpy
+    code = (
+        "import sys, bipspec; "
+        "print(sorted(k for k in vars(bipspec) if not (k.startswith('__') and k.endswith('__')))); "
+        "print(sorted(m for m in sys.modules if m.startswith('bipspec.') or m == 'numpy')); "
+        "print(bipspec.__version__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "[]", "0.1.0"]
+
+
 def test_spectrum_command(tmp_path, capsys):
-    graph = _write_graph(tmp_path, bigraph.complete_bipartite(8, 4))
+    g = bigraph.complete_bipartite(8, 4)
+    graph = _write_graph(tmp_path, g)
     out_json = tmp_path / "spec.json"
+    for kind in spectra.MATRIX_BUILDERS:
+        assert run(["spectrum", "--graph", graph, "--matrix", kind, "--json", str(out_json)]) == 0
+        report = json.loads(out_json.read_text(encoding="utf-8"))
+        finding = report["findings"][0]
+        assert finding["type"] == "spectrum"
+        # the finding's kind is the --matrix argument, and its spectrum is that matrix's
+        assert finding["kind"] == kind
+        expected = spectra.symmetric_eigenvalues(spectra.MATRIX_BUILDERS[kind](g)).eigenvalues
+        assert finding["eigenvalues"] == list(expected)
+        assert report["exit_status"] == 0
     assert run(["spectrum", "--graph", graph, "--json", str(out_json)]) == 0
-    report = json.loads(out_json.read_text(encoding="utf-8"))
-    finding = report["findings"][0]
-    assert finding["type"] == "spectrum"
+    finding = json.loads(out_json.read_text(encoding="utf-8"))["findings"][0]
     assert finding["kind"] == "adjacency"
     assert finding["eigenvalues"][0] == pytest.approx(math.sqrt(32), abs=1e-8)
-    assert report["exit_status"] == 0
 
 
 def test_bounds_p4_clean(tmp_path):

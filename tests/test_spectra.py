@@ -611,7 +611,6 @@ def test_lifted_k84():
     assert rep.eigenvalues[-1] == pytest.approx(-s, abs=1e-12)
     assert all(x == 0.0 for x in rep.eigenvalues[1:-1])
     assert rep.residual <= 1e-8
-    assert rep.kind == "lifted"
 
 
 def test_lifted_rank_at_most_two():
