@@ -423,14 +423,11 @@ def write_edge_list(g: BipartiteGraph) -> str:
 
 # Canonical edge-list text, exactly as write_edge_list emits it: single
 # spaces, a newline after every line, and ASCII integers of at most six
-# digits, so no side or endpoint can overflow int64 (MAX_SIDE has six).
-_CANONICAL_HEADER = re.compile(r"bip ([0-9]{1,6}) ([0-9]{1,6})\n")
-_CANONICAL_EDGES = re.compile(r"(?:e [0-9]{1,6} [0-9]{1,6}\n)*")
-# Characters of the body matched at once, cut after a newline: a match keeps
-# state for every line it repeats over, about 280 bytes a line, so one match
-# of the 10**6-edge body of `gen --complete 1000 1000` peaked at 330 MB
-# resident, and blocks of this size read it within 72 MB.
-_BLOCK_CHARS = 1 << 16
+# digits, so no side or endpoint can overflow int64 (MAX_SIDE has six).  The
+# edge lines' repeat is possessive, so the match keeps no state per line: a
+# plain `*` keeps about 280 bytes a line, 330 MB resident on the
+# 10**6-edge text of `gen --complete 1000 1000`.
+_CANONICAL = re.compile(r"bip ([0-9]{1,6}) ([0-9]{1,6})\n(?:e [0-9]{1,6} [0-9]{1,6}\n)*+")
 
 
 def read_edge_list(text: str) -> BipartiteGraph:
@@ -443,12 +440,11 @@ def read_edge_list(text: str) -> BipartiteGraph:
     header, before anything is allocated.
 
     Two paths read the text, chosen from the input alone.  Canonical text
-    (what write_edge_list emits) is matched by one regex for the header and
-    one for the edge lines, a block of whole lines at a time; its endpoints
-    are converted in one numpy call and checked in bulk.  Any other text, and
-    canonical text that fails a check, is read line by line; that walk
-    builds every error message, so both paths give the same graph or the
-    same error.
+    (what write_edge_list emits) is matched once, whole, by one regex whose
+    edge lines repeat possessively; its endpoints are converted in one numpy
+    call and checked in bulk.  Any other text, and canonical text that fails
+    a check, is read line by line; that walk builds every error message, so
+    both paths give the same graph or the same error.
     """
     graph = _read_canonical(text)
     return graph if graph is not None else _read_lines(text)
@@ -457,21 +453,15 @@ def read_edge_list(text: str) -> BipartiteGraph:
 def _read_canonical(text: str) -> BipartiteGraph | None:
     """The graph of canonical edge-list text, or None when the text is not
     canonical or fails a side, range or duplicate check."""
-    header = _CANONICAL_HEADER.match(text)
-    if header is None:
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
         return None
-    n1, n2 = int(header[1]), int(header[2])
+    n1, n2 = int(match[1]), int(match[2])
     if not (1 <= n1 <= MAX_SIDE and 1 <= n2 <= MAX_SIDE):
         return None
-    body = pos = header.end()
-    while pos < len(text):
-        # the block ends after the first newline at or past its nominal end
-        end = text.find("\n", min(pos + _BLOCK_CHARS, len(text)) - 1) + 1 or len(text)
-        if _CANONICAL_EDGES.fullmatch(text, pos, end) is None:
-            return None
-        pos = end
-    # the body holds only 'e', digits, spaces and newlines
-    ends = np.fromstring(text[body:].replace("e", " "), dtype=np.int64, sep=" ")
+    # the body, after the header's newline, holds only 'e', digits, spaces
+    # and newlines
+    ends = np.fromstring(text[match.end(2) + 1 :].replace("e", " "), dtype=np.int64, sep=" ")
     left, right = ends[0::2], ends[1::2]
     if left.size and (left.max() >= n1 or right.max() >= n2):
         return None

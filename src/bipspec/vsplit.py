@@ -133,11 +133,18 @@ def measure_split(split: BipartiteGraph) -> tuple[float, int]:
 def _criterion_report(
     theorem: str,
     k: int,
-    threshold: float,
+    scale: int,
+    divisor: float,
     pre: bool,
     notes: str,
     measured: tuple[float, int],
 ) -> ConnectivityCriterionReport:
+    """The report of a criterion whose threshold is scale*(2k-1)/divisor, with
+    divisor >= 1; a k whose scale*(2k-1) has no float raises ValueError."""
+    try:
+        threshold = scale * (2 * k - 1) / divisor
+    except OverflowError:
+        raise ValueError(f"k = {k} puts the {theorem} threshold beyond the float range") from None
     lambda2p, kappa = measured
     return ConnectivityCriterionReport(
         theorem=theorem,
@@ -167,8 +174,7 @@ def theorem_r1_check(
     delta_prime = split.degree_profile().delta
     if delta_prime < k:
         notes.append(f"split minimum degree {delta_prime} < k = {k}")
-    threshold = (2 * k - 1) / math.sqrt(2.0)
-    return _criterion_report("r1", k, threshold, not notes, "; ".join(notes), measured)
+    return _criterion_report("r1", k, 1, math.sqrt(2.0), not notes, "; ".join(notes), measured)
 
 
 def theorem_r2_check(g: BipartiteGraph, k: int, measured: tuple[float, int]) -> ConnectivityCriterionReport:
@@ -181,5 +187,4 @@ def theorem_r2_check(g: BipartiteGraph, k: int, measured: tuple[float, int]) -> 
         notes.append("original graph is not biregular")
     if k < 2:
         notes.append(f"requires k >= 2, got {k}")
-    threshold = g.n2 * (2 * k - 1) / math.sqrt(2 * g.n1 * g.n2)
-    return _criterion_report("r2", k, threshold, not notes, "; ".join(notes), measured)
+    return _criterion_report("r2", k, g.n2, math.sqrt(2 * g.n1 * g.n2), not notes, "; ".join(notes), measured)

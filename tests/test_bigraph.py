@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -735,12 +736,11 @@ def test_edge_list_reader_paths_agree_at_scale():
     assert _outcome(read_edge_list, bad) == expected == _outcome(_seed_read_edge_list, bad)
 
 
-def test_canonical_text_is_matched_a_block_at_a_time(monkeypatch):
-    # K_{200,200} writes 40,000 edge lines, several blocks of the canonical
-    # match; the bulk path reads every block, so the line walk never runs
+def test_canonical_text_is_matched_once_in_bounded_memory(monkeypatch):
+    # K_{200,200} writes 40,000 edge lines; the bulk path reads them all, so
+    # the line walk never runs
     g = complete_bipartite(200, 200)
     text = write_edge_list(g)
-    assert len(text) > 4 * bigraph._BLOCK_CHARS
 
     def refuse(text):
         raise AssertionError("canonical text reached the line walk")
@@ -748,23 +748,32 @@ def test_canonical_text_is_matched_a_block_at_a_time(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(bigraph, "_read_lines", refuse)
         assert read_edge_list(text) == g
-    # a line that straddles the first block's nominal end is cut with its
-    # block: a doubled space in it sends the text to the line walk, which
+    # a doubled space in a middle line sends the text to the line walk, which
     # reads the same graph
     lines = text.splitlines(keepends=True)
-    end = len(lines[0]) + bigraph._BLOCK_CHARS  # the first block's nominal end
-    assert text[end - 1] != "\n"
-    at = text.count("\n", 0, end - 1)  # the line that holds character end - 1
-    spoiled = lines.copy()
-    spoiled[at] = spoiled[at].replace(" ", "  ", 1)
+    spoiled, mid = lines.copy(), len(lines) // 2
+    spoiled[mid] = spoiled[mid].replace(" ", "  ", 1)
     assert bigraph._read_canonical("".join(spoiled)) is None
     assert read_edge_list("".join(spoiled)) == g
-    # a bad line in the last block gets the line walk's message
+    # a bad line near the end gets the line walk's message
     lines[-2] = "e 199 x\n"
     bad = "".join(lines)
     assert bigraph._read_canonical(bad) is None
     expected = f"ValueError: line {len(lines) - 1}: expected integer endpoints, got '199' 'x'"
     assert _outcome(read_edge_list, bad) == expected == _outcome(_seed_read_edge_list, bad)
+    # K_{300,300}: 90,000 edge lines, 0.8 MB of text.  The possessive repeat
+    # keeps no state per line; a plain `*` keeps about 280 bytes a line and
+    # peaks at 24.5 MB here
+    g = complete_bipartite(300, 300)
+    text = write_edge_list(g)
+    tracemalloc.start()
+    try:
+        read = read_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == g
+    assert peak < 4 * 2**20
 
 
 def test_dense_matrices_refused_above_the_cell_limit(monkeypatch):

@@ -725,7 +725,9 @@ def test_new_output_mode_follows_the_umask(tmp_path, output):
 _BAD_FILE = st.sampled_from(["{malformed}", "{binary}", "{dir}", "{missing}/g.bip"])
 _GOOD_OUT = st.sampled_from(["{out}/r", "{out}/r.json"])
 _BAD_OUT = st.sampled_from(["{dir}", "{missing}/r.json", ""])
-_BAD_INT = st.sampled_from(["-3", "-1", "0", "x", "1.5", ""])
+# a 400-digit integer has no float: --seed and --cap accept one, and every
+# other integer flag refuses it
+_BAD_INT = st.sampled_from(["-3", "-1", "0", "x", "1.5", "", "9" * 400])
 _BAD_CHOICE = st.sampled_from(["bogus", ""])
 
 
@@ -826,6 +828,7 @@ def _small_graph(draw) -> bigraph.BipartiteGraph:
 
 @settings(max_examples=300, deadline=None)
 @example(argv=["verify-all", "--json", "{out}/v.json"], graph=bigraph.path_graph(4), malformed="")
+@example(argv=["split", "--graph", "{graph}", "--k", "1" + "0" * 400], graph=bigraph.path_graph(4), malformed="")
 @given(
     argv=_argv(),
     graph=st.one_of(_small_graph(), st.integers(2, 12).map(bigraph.path_graph)),
