@@ -23,9 +23,9 @@ import json
 import math
 import random
 import tempfile
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +33,11 @@ from . import bigraph, eccode, spectra, vsplit
 from .bigraph import BipartiteGraph, build, complete_bipartite, path_graph
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     criterion: str
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def _random_connected_bipartite(rng: random.Random, max_n: int = 12) -> BipartiteGraph:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from operator import add, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ def check_dense(rows: int, cols: int, name: str) -> None:
         raise ValueError(f"a {rows} x {cols} {name} exceeds the limit of {MAX_DENSE_CELLS} cells")
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-side degree sequences and the regularity flags derived from them."""
 
     left_degrees: tuple[int, ...]

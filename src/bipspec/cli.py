@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Every number in the emitted reports comes from a library operation; the CLI
-only orchestrates and serializes.  The library's reports are plain data, and
-this module alone turns each into a finding of the `--json` report: its
-fields under their own names, plus "type" (`_finding`), except the three
+only orchestrates and serializes.  The library's reports are NamedTuple
+records, and this module alone turns each into a finding of the `--json`
+report: the report's `_asdict()` plus "type" (`_finding`), except the three
 findings built key by key below.  Exit codes separate observation from
 misuse: 0 means no claim was violated on this input, 1 means at least one
 report flagged a violated claim (data, not a crash), 2 means usage or input
@@ -105,13 +105,14 @@ def _emit(command: str, inputs: dict, findings: list[dict], json_path: str | Non
 
 
 def _finding(kind: str, report) -> dict:
-    """The finding of a report whose fields are its JSON keys."""
-    return {"type": kind, **vars(report)}
+    """The finding of a report whose fields are its JSON keys: the report's
+    _asdict() plus "type"."""
+    return {"type": kind, **report._asdict()}
 
 
 def _code_finding(code: eccode.LinearCode) -> dict:
     """The finding of a code, key by key: its rank, dimension and rate are
-    derived, and vars would add the cached values a LinearCode keeps."""
+    derived, and a LinearCode is no record: it also keeps cached values."""
     return {
         "type": "code",
         "block_length": code.n,

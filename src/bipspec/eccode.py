@@ -15,6 +15,7 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,8 +352,7 @@ def bit_flip_decode(
     return np.frombuffer(out, dtype=np.uint8), "failed" if unsatisfied else "decoded"
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Exact distance next to the expander bounds.
 
     true_distance is min_distance of the code (column collisions for d <= 4,
@@ -369,8 +369,7 @@ class DistanceReport:
     bound_holds: bool | None
 
 
-@dataclass(frozen=True)
-class N2RuleDiagnostic:
+class N2RuleDiagnostic(NamedTuple):
     """Feasibility diagnostic for the divisor-based n2 selection rule.
 
     The rule asks for the largest divisor of n1^2/2 strictly between
@@ -406,8 +405,7 @@ def n2_selection_rule(n1: int) -> N2RuleDiagnostic:
     return N2RuleDiagnostic(n1, candidates, chosen, d1, feasible, note)
 
 
-@dataclass(frozen=True)
-class ExpanderCodePipeline:
+class ExpanderCodePipeline(NamedTuple):
     """Everything the expander-code construction produces for one n1."""
 
     code: LinearCode

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ SIDES = ("left", "right")
 _BLOCK_WORDS = 1 << 13
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     """Minimum neighborhood ratio |N(S)|/|S| over examined subsets S; the
     CLI's `expansion` finding writes subset_cap as `cap`."""
 
@@ -239,8 +238,7 @@ def vertex_expansion(
     return ExpansionReport(side, cap, alpha, witness, False)
 
 
-@dataclass(frozen=True)
-class LosslessParams:
+class LosslessParams(NamedTuple):
     """Measured (n, m, D, gamma, D(1-epsilon)) expander parameters."""
 
     n: int

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +113,7 @@ MATRIX_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Full real spectrum, descending, with solver diagnostics.
 
     residual bounds, relative to max(1, ||M||_F), the eigenpair residuals
@@ -355,8 +355,7 @@ def eigenvalue_clusters(eigenvalues) -> list[tuple[float, int]]:
     return clusters
 
 
-@dataclass(frozen=True)
-class Quotient2x2:
+class Quotient2x2(NamedTuple):
     """Bipartite quotient matrix with closed-form eigenvalues (descending)."""
 
     b11: float
@@ -428,8 +427,7 @@ def lifted_matrix_spectrum(g: BipartiteGraph, flavor: str) -> SpectrumReport:
     return SpectrumReport(tuple(claimed), residual, 0)
 
 
-@dataclass(frozen=True)
-class InterlacingReport:
+class InterlacingReport(NamedTuple):
     """Juxtaposes the valid two-sided interlacing with the stronger chain.
 
     valid_form_holds checks lambda_i >= eta_i >= lambda_(n-2+i) for i = 1, 2
@@ -473,8 +471,7 @@ def interlacing_check(full: SpectrumReport, q: Quotient2x2) -> InterlacingReport
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One eigenvalue bound evaluated against the solver-observed value.
 
     holds is bound - observed >= -REPORT_TOL for upper bounds and

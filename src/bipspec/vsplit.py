@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def split_warnings(g: BipartiteGraph, split: BipartiteGraph) -> list[str]:
     return warnings
 
 
-@dataclass(frozen=True)
-class ConnectivityCriterionReport:
+class ConnectivityCriterionReport(NamedTuple):
     """Second-eigenvalue connectivity criterion, measured both ways.
 
     criterion_met records whether lambda2' clears the theorem's threshold;

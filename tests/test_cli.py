@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -284,7 +283,7 @@ def test_each_graph_derives_its_adjacency_once_per_command(tmp_path, monkeypatch
 def test_expansion_gamma_enumerates_once(tmp_path, monkeypatch):
     g = vertex_split(bigraph.complete_bipartite(8, 4))
     graph = _write_graph(tmp_path, g)
-    expected = vars(expansion.lossless_parameters(g, 0.25))
+    expected = expansion.lossless_parameters(g, 0.25)._asdict()
     calls = _count_calls(monkeypatch, expansion.vertex_expansion)
     out_json = tmp_path / "exp.json"
     assert run(["expansion", "--graph", graph, "--gamma", "0.25", "--json", str(out_json)]) == 0
@@ -533,9 +532,37 @@ def test_findings_hold_exactly_their_reports_fields(tmp_path):
         for finding in json.loads(out_json.read_text(encoding="utf-8"))["findings"]:
             report = _REPORT_OF_FINDING.get(finding["type"])
             if report is not None:
-                assert set(finding) - {"type"} == {f.name for f in dataclasses.fields(report)}, finding
+                assert set(finding) - {"type"} == set(report._fields), finding
                 seen.add(finding["type"])
     assert seen == set(_REPORT_OF_FINDING)
+    assert all(issubclass(report, tuple) for report in _REPORT_OF_FINDING.values())
+
+
+# every report record of the library
+_RECORDS = (
+    bigraph.DegreeProfile,
+    spectra.SpectrumReport,
+    spectra.Quotient2x2,
+    spectra.InterlacingReport,
+    spectra.BoundReport,
+    expansion.ExpansionReport,
+    expansion.LosslessParams,
+    vsplit.ConnectivityCriterionReport,
+    eccode.DistanceReport,
+    eccode.N2RuleDiagnostic,
+    eccode.ExpanderCodePipeline,
+    acceptance.CriterionResult,
+)
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda record: record.__name__)
+def test_report_records_are_immutable(record):
+    names = list(record.__annotations__)
+    report = record(*names)  # each field holds its own name
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+        assert getattr(report, name) == name
 
 
 def test_verify_all_prints_only_its_own_lines(capsys):

@@ -485,6 +485,33 @@ def test_certificate_eigenvalue_at_the_split(split, side):
     _assert_certified(SymmetricMatrix(L))
 
 
+_BAND = pytest.mark.xfail(
+    strict=True,
+    raises=spectra.ConvergenceError,
+    reason="ROADMAP item 5: a singular value of B in about (0.4, 1) sqrt(eps) ||B||_F fails the 1e-8 gate",
+)
+
+
+@pytest.mark.parametrize(
+    "f", [0.3, pytest.param(0.5, marks=_BAND), pytest.param(0.7, marks=_BAND), pytest.param(0.9, marks=_BAND), 1.1]
+)
+def test_certificate_band_on_the_bipartite_route(f):
+    # B = U diag(3, 2, 1, sigma) V^T with sigma = f sqrt(eps) ||(3, 2, 1)||:
+    # U is the first four columns of the 8 x 8 Sylvester Hadamard matrix
+    # over sqrt(8), V its leading 4 x 4 block over 2, both exactly orthogonal
+    H = np.array([[1.0]])
+    for _ in range(3):
+        H = np.block([[H, H], [H, -H]])
+    sigma = f * math.sqrt(np.finfo(float).eps) * math.sqrt(14)
+    U, V = H[:, :4] / math.sqrt(8), H[:4, :4] / 2
+    B = U @ np.diag([3.0, 2.0, 1.0, sigma]) @ V.T
+    A = np.block([[np.zeros((8, 8)), B], [B.T, np.zeros((4, 4))]])
+    assert spectra._bipartite_split(A) == 8
+    rep = symmetric_eigenvalues(SymmetricMatrix(A))
+    assert np.allclose(rep.eigenvalues, np.linalg.eigvalsh(A)[::-1], rtol=0, atol=1e-8)
+    assert rep.residual <= 1e-8
+
+
 # ------------------------------------ norm-ordered QR before the shifted route
 
 
